@@ -6,23 +6,31 @@ Two distinct constructions are provided:
   x^{n-j} is the minimum tropical determinant over all j-by-j principal
   submatrices (choosing x at the other n-j diagonal positions forces a
   permutation on the complementary index set).
-* ``charpoly_flv`` runs the trace recursion
+* ``charpoly_flv`` is defined by the trace recursion
   c_k = Tr(A^k ⊕ c_1⊗A^{k-1} ⊕ ... ⊕ c_{k-1}⊗A),
   the min-plus counterpart of the classical trace-based coefficient
-  recursion for characteristic polynomials.
+  recursion for characteristic polynomials. It is computed as the
+  equivalent scalar recursion over the closed-walk minima Tr(A^k).
 
 The tropical determinant itself comes in two independent implementations,
 a permutation brute force and a minimum-cost assignment solver, so each
 can serve as the other's oracle.
+
+All inner loops run on Python ints, with None for ε: a matrix is scaled
+once by the least common multiple D of its entries' denominators, and
+each result is divided back exactly as Fraction(total, D). Every step is
+a sum, a difference or a minimum, so scaling by D > 0 commutes with it and
+the results are the same exact rationals as a computation on Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
 
 from .errors import CapExceeded
-from .matrix import MinPlusMatrix, mat_oplus, mat_otimes, scalar_otimes, trace
+from .matrix import MinPlusMatrix
 from .polynomial import MinPlusPolynomial
 from .semiring import EPSILON, E, MinPlusValue
 
@@ -40,9 +48,24 @@ BRUTE_FORCE_CAP = 9
 SUBSET_CAP = 16
 
 
-def _raw_rows(a: MinPlusMatrix) -> list[list[Fraction | None]]:
-    """Entries as Fractions with None for ε, for the inner loops."""
-    return [[None if x.is_epsilon else x.rational for x in row] for row in a.rows]
+def _int_rows(a: MinPlusMatrix) -> tuple[list[list[int | None]], int]:
+    """The entries times D as ints, None for ε, and D itself.
+
+    D is the least common multiple of the finite entries' denominators
+    (1 when there are none), so every scaled entry is an integer.
+    """
+    finite = [x.rational for row in a.rows for x in row if not x.is_epsilon]
+    d = lcm(*(q.denominator for q in finite)) if finite else 1
+    rows = [
+        [None if x.is_epsilon else x.rational.numerator * (d // x.rational.denominator) for x in row]
+        for row in a.rows
+    ]
+    return rows, d
+
+
+def _unscale(total: int | None, d: int) -> MinPlusValue:
+    """A scaled kernel result as a min-plus value: total / d, or ε for None."""
+    return EPSILON if total is None else MinPlusValue(Fraction(total, d))
 
 
 def tropdet_bruteforce(a: MinPlusMatrix, cap: int = BRUTE_FORCE_CAP) -> MinPlusValue:
@@ -53,43 +76,43 @@ def tropdet_bruteforce(a: MinPlusMatrix, cap: int = BRUTE_FORCE_CAP) -> MinPlusV
             f"brute-force tropical determinant is capped at order {cap} "
             f"(got {n}); use tropdet_assignment instead"
         )
-    rows = _raw_rows(a)
-    best: Fraction | None = None
+    rows, d = _int_rows(a)
+    best: int | None = None
     for sigma in permutations(range(n)):
-        total = Fraction(0)
-        feasible = True
+        total = 0
         for i, j in enumerate(sigma):
             cell = rows[i][j]
             if cell is None:
-                feasible = False
                 break
             total += cell
-        if feasible and (best is None or total < best):
-            best = total
-    return EPSILON if best is None else MinPlusValue(best)
+        else:
+            if best is None or total < best:
+                best = total
+    return _unscale(best, d)
 
 
-def _assignment_cost(rows: list[list[Fraction | None]]) -> Fraction | None:
+def _assignment_cost(rows: list[list[int | None]]) -> int | None:
     """Minimum-cost perfect assignment with None as a forbidden cell.
 
-    Shortest-augmenting-path method with dual potentials, run in exact
-    rational arithmetic. Returns None when the finite cells admit no
-    perfect matching (the tropical determinant is then ε).
+    Shortest-augmenting-path method with dual potentials (the Hungarian
+    method in its O(n^3) form), run in exact integer arithmetic. Returns
+    None when the finite cells admit no perfect matching (the tropical
+    determinant is then ε).
     """
     n = len(rows)
-    u = [Fraction(0)] * (n + 1)
-    v = [Fraction(0)] * (n + 1)
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
     match = [0] * (n + 1)  # match[j] = row assigned to column j, 1-based, 0 = free
     for i in range(1, n + 1):
         match[0] = i
         j0 = 0
-        minv: list[Fraction | None] = [None] * (n + 1)
+        minv: list[int | None] = [None] * (n + 1)
         way = [0] * (n + 1)
         used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = match[j0]
-            delta: Fraction | None = None
+            delta: int | None = None
             j1 = 0
             base = u[i0]
             row = rows[i0 - 1]
@@ -120,60 +143,91 @@ def _assignment_cost(rows: list[list[Fraction | None]]) -> Fraction | None:
             j1 = way[j0]
             match[j0] = match[j1]
             j0 = j1
-    total = Fraction(0)
-    for j in range(1, n + 1):
-        total += rows[match[j] - 1][j - 1]
-    return total
+    return sum(rows[match[j] - 1][j - 1] for j in range(1, n + 1))
 
 
 def tropdet_assignment(a: MinPlusMatrix) -> MinPlusValue:
     """Tropical determinant via minimum-cost assignment; no size cap."""
-    cost = _assignment_cost(_raw_rows(a))
-    return EPSILON if cost is None else MinPlusValue(cost)
+    rows, d = _int_rows(a)
+    return _unscale(_assignment_cost(rows), d)
 
 
 def charpoly_tropdet(a: MinPlusMatrix, cap: int = SUBSET_CAP) -> MinPlusPolynomial:
     """The characteristic polynomial tropdet(A ⊕ x⊗I), as coefficients.
 
     c_0 = 0 and c_j = min over size-j index subsets S of the tropical
-    determinant of A restricted to S, computed with the assignment solver.
+    determinant of A restricted to S, computed with the assignment solver
+    on the scaled int entries.
     """
     n = a.n
     if n > cap:
         raise CapExceeded(
             f"principal-minor enumeration is capped at order {cap} (got {n})"
         )
-    rows = _raw_rows(a)
+    rows, d = _int_rows(a)
     coeffs: list[MinPlusValue] = [E]
     for j in range(1, n + 1):
-        best: Fraction | None = None
+        best: int | None = None
         for subset in combinations(range(n), j):
             minor = [[rows[r][c] for c in subset] for r in subset]
             cost = _assignment_cost(minor)
             if cost is not None and (best is None or cost < best):
                 best = cost
-        coeffs.append(EPSILON if best is None else MinPlusValue(best))
+        coeffs.append(_unscale(best, d))
     return MinPlusPolynomial(tuple(coeffs))
+
+
+def _closed_walk_minima(rows: list[list[int | None]]) -> list[int | None]:
+    """t_k = Tr(A^k) for k = 1..n: the least weight of a closed k-walk.
+
+    Index 0 holds None (unused). Each power is one min-plus product
+    P ⊗ A on plain lists, relaxing only the finite entries of A.
+    """
+    n = len(rows)
+    succ = [[(j, w) for j, w in enumerate(row) if w is not None] for row in rows]
+    traces: list[int | None] = [None]
+    power = rows
+    for k in range(1, n + 1):
+        if k > 1:
+            product = []
+            for prow in power:
+                out: list[int | None] = [None] * n
+                for l, p in enumerate(prow):
+                    if p is None:
+                        continue
+                    for j, w in succ[l]:
+                        s = p + w
+                        cur = out[j]
+                        if cur is None or s < cur:
+                            out[j] = s
+                product.append(out)
+            power = product
+        diagonal = [power[i][i] for i in range(n) if power[i][i] is not None]
+        traces.append(min(diagonal) if diagonal else None)
+    return traces
 
 
 def charpoly_flv(a: MinPlusMatrix) -> MinPlusPolynomial:
     """The trace-recursion characteristic polynomial.
 
-    c_1 = Tr(A) and c_k = Tr(A^k ⊕ c_1⊗A^{k-1} ⊕ ... ⊕ c_{k-1}⊗A), with
-    the matrix powers computed once and reused.
+    By definition c_1 = Tr(A) and c_k = Tr(A^k ⊕ c_1⊗A^{k-1} ⊕ ... ⊕
+    c_{k-1}⊗A). Trace distributes over ⊕ and Tr(c⊗M) = c ⊗ Tr(M), so with
+    t_k = Tr(A^k) this is the scalar recursion
+    c_k = t_k ⊕ c_1⊗t_{k-1} ⊕ ... ⊕ c_{k-1}⊗t_1, i.e.
+    c_k = min(t_k, min_{0<l<k} c_l + t_{k-l}), computed here on ints.
     """
-    n = a.n
-    powers: list[MinPlusMatrix | None] = [None] * (n + 1)
-    powers[1] = a
-    for k in range(2, n + 1):
-        powers[k] = mat_otimes(powers[k - 1], a)
-    coeffs: list[MinPlusValue] = [E]
-    for k in range(1, n + 1):
-        acc = powers[k]
-        for i in range(1, k):
-            acc = mat_oplus(acc, scalar_otimes(coeffs[i], powers[k - i]))
-        coeffs.append(trace(acc))
-    return MinPlusPolynomial(tuple(coeffs))
+    rows, d = _int_rows(a)
+    t = _closed_walk_minima(rows)
+    c: list[int | None] = [0]
+    for k in range(1, a.n + 1):
+        best = t[k]
+        for l in range(1, k):
+            if c[l] is not None and t[k - l] is not None:
+                s = c[l] + t[k - l]
+                if best is None or s < best:
+                    best = s
+        c.append(best)
+    return MinPlusPolynomial([_unscale(x, d) for x in c])
 
 
 def eigenvalue_from_charpoly(p: MinPlusPolynomial) -> MinPlusValue:

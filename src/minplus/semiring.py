@@ -71,7 +71,7 @@ class MinPlusValue:
     def __eq__(self, other):
         try:
             other = as_value(other)
-        except TypeError:
+        except (TypeError, ParseError):
             return NotImplemented
         return self._q == other._q
 

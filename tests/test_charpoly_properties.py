@@ -1,0 +1,166 @@
+"""Property-based and differential tests for the characteristic polynomials.
+
+The kernels in ``minplus.charpoly`` run on LCM-scaled ints; these tests
+compare them with oracles written on the public min-plus value and matrix
+operations, and check metamorphic identities of both polynomials on
+ε-heavy matrices with mixed denominators.
+"""
+
+from fractions import Fraction
+from itertools import combinations, permutations
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from minplus import (
+    EPSILON,
+    E,
+    MinPlusMatrix,
+    MinPlusValue,
+    charpoly_flv,
+    charpoly_tropdet,
+    epsilon_matrix,
+    mat_oplus,
+    mat_otimes,
+    otimes,
+    scalar_otimes,
+    trace,
+    tropdet_assignment,
+    tropdet_bruteforce,
+)
+
+# Denominators 1..13 make the scaling factor D (their LCM) as large as 360360.
+ENTRIES = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 13))
+
+
+@st.composite
+def matrices(draw, max_n):
+    """A random matrix whose share of ε entries is itself drawn, from none to all."""
+    n = draw(st.integers(1, max_n))
+    finite_tenths = draw(st.integers(0, 10))
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            finite = draw(st.integers(0, 9)) < finite_tenths
+            row.append(draw(ENTRIES) if finite else None)
+        rows.append(row)
+    return MinPlusMatrix(rows)
+
+
+def flv_by_definition(a):
+    """c_k = Tr(A^k ⊕ c_1⊗A^{k-1} ⊕ ... ⊕ c_{k-1}⊗A), literally, on matrices."""
+    powers = [None, a]
+    for _ in range(2, a.n + 1):
+        powers.append(mat_otimes(powers[-1], a))
+    coeffs = [E]
+    for k in range(1, a.n + 1):
+        acc = powers[k]
+        for i in range(1, k):
+            acc = mat_oplus(acc, scalar_otimes(coeffs[i], powers[k - i]))
+        coeffs.append(trace(acc))
+    return tuple(coeffs)
+
+
+def tropdet_by_definition(a, indices):
+    """min over permutations σ of the subset of ⊗_i a[i, σ(i)], on min-plus values."""
+    best = EPSILON
+    for sigma in permutations(indices):
+        total = E
+        for i, j in zip(indices, sigma):
+            total = otimes(total, a[i, j])
+        best = min(best, total)
+    return best
+
+
+def tropdet_charpoly_by_definition(a):
+    coeffs = [E]
+    for j in range(1, a.n + 1):
+        coeffs.append(min(tropdet_by_definition(a, s) for s in combinations(range(a.n), j)))
+    return tuple(coeffs)
+
+
+def both(a):
+    return charpoly_tropdet(a).coeffs, charpoly_flv(a).coeffs
+
+
+def permuted(a, p):
+    return MinPlusMatrix([[a[p[i], p[j]] for j in range(a.n)] for i in range(a.n)])
+
+
+def transposed(a):
+    return MinPlusMatrix([[a[j, i] for j in range(a.n)] for i in range(a.n)])
+
+
+def mapped(a, f):
+    return MinPlusMatrix([[x if x.is_epsilon else MinPlusValue(f(x.rational)) for x in row] for row in a.rows])
+
+
+def mapped_coeffs(coeffs, f):
+    return tuple(c if c.is_epsilon else MinPlusValue(f(j, c.rational)) for j, c in enumerate(coeffs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(max_n=8))
+def test_flv_matches_literal_trace_definition(a):
+    assert charpoly_flv(a).coeffs == flv_by_definition(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(max_n=5))
+def test_tropdet_charpoly_matches_literal_definition(a):
+    assert charpoly_tropdet(a).coeffs == tropdet_charpoly_by_definition(a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(max_n=7))
+def test_assignment_matches_bruteforce(a):
+    assert tropdet_assignment(a) == tropdet_bruteforce(a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_all_epsilon_matrix(n):
+    a = epsilon_matrix(n)
+    expected = (E,) + (EPSILON,) * n
+    assert both(a) == (expected, expected)
+    assert tropdet_assignment(a) == EPSILON == tropdet_bruteforce(a)
+
+
+@pytest.mark.parametrize("entry", [None, 0, -4, Fraction(7, 12)])
+def test_one_by_one_matrix(entry):
+    a = MinPlusMatrix([[entry]])
+    expected = (E, MinPlusValue(entry))
+    assert both(a) == (expected, expected)
+    assert tropdet_assignment(a) == MinPlusValue(entry) == tropdet_bruteforce(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_invariant_under_permutation_similarity(data):
+    a = data.draw(matrices(max_n=6))
+    p = data.draw(st.permutations(range(a.n)))
+    assert both(permuted(a, p)) == both(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(max_n=6))
+def test_invariant_under_transposition(a):
+    assert both(transposed(a)) == both(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(max_n=6), ENTRIES)
+def test_scalar_shift_adds_j_alpha(a, alpha):
+    shifted = both(scalar_otimes(alpha, a))
+    expected = tuple(mapped_coeffs(coeffs, lambda j, c: c + j * alpha) for coeffs in both(a))
+    assert shifted == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(max_n=6), st.integers(1, 7))
+def test_positive_integer_scaling_scales_coefficients(a, k):
+    scaled = both(mapped(a, lambda x: k * x))
+    expected = tuple(mapped_coeffs(coeffs, lambda j, c: k * c) for coeffs in both(a))
+    assert scaled == expected

@@ -102,6 +102,13 @@ def test_float_inputs_rejected():
         MinPlusValue(0.1)
 
 
+def test_equality_with_unparsable_string_is_false():
+    assert not (MinPlusValue(1) == "abc")
+    assert MinPlusValue(1) != "abc"
+    assert EPSILON != "1/0"
+    assert MinPlusValue(1) == "1"
+
+
 def test_rational_accessor_on_epsilon():
     with pytest.raises(ValueError):
         EPSILON.rational
