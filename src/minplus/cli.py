@@ -23,21 +23,17 @@ from .charpoly import (
     charpoly_flv,
     charpoly_tropdet,
     eigenvalue_from_charpoly,
-    tropdet_assignment,
-    tropdet_bruteforce,
 )
 from .errors import CapExceeded, ParseError
 from .matrix import MinPlusMatrix, parse_matrix
 from .network import (
     CIRCUIT_CAP,
-    coefficient_check,
     enumerate_circuits,
     min_cycle_mean,
     network_from_matrix,
     plant_separated_instance,
     separated_check,
-    verify_corollary_equivalence,
-    verify_separated_factorization,
+    verify_matrix,
 )
 from .polynomial import (
     MinPlusPolynomial,
@@ -233,7 +229,7 @@ def cmd_circuits(args) -> int:
     matrix = _load_matrix(args.input)
     net = network_from_matrix(matrix)
     circuits = enumerate_circuits(net, cap=args.cap_circuits)
-    separated = separated_check(net, circuit_cap=args.cap_circuits)
+    separated = separated_check(net)
     mean = min_cycle_mean(net)
     if args.format == "json":
         _emit_json(
@@ -259,50 +255,9 @@ def cmd_circuits(args) -> int:
     return EXIT_OK
 
 
-def _verify_matrix(matrix: MinPlusMatrix, cap_perms: int, cap_circuits: int) -> list:
-    reports = []
-
-    oracle_applicable = matrix.n <= cap_perms
-    if oracle_applicable:
-        brute = tropdet_bruteforce(matrix, cap=cap_perms)
-        solver = tropdet_assignment(matrix)
-        oracle = {
-            "bruteforce": brute.to_json(),
-            "assignment": solver.to_json(),
-            "match": brute == solver,
-        }
-        reports.append(
-            {
-                "check": "tropdet_oracle",
-                "hypothesis_met": True,
-                "details": [oracle],
-                "pass": brute == solver,
-            }
-        )
-    else:
-        reports.append(
-            {
-                "check": "tropdet_oracle",
-                "hypothesis_met": False,
-                "details": [{"note": f"order {matrix.n} above the brute-force cap {cap_perms}"}],
-                "pass": True,
-            }
-        )
-
-    net = network_from_matrix(matrix)
-    separated = separated_check(net, circuit_cap=cap_circuits)
-    reports.append(
-        {
-            "check": "separated",
-            "hypothesis_met": None,
-            "details": [{"separated": separated}],
-            "pass": True,
-        }
-    )
-    reports.append(coefficient_check(matrix).to_json())
-    reports.append(verify_separated_factorization(matrix, circuit_cap=cap_circuits).to_json())
-    reports.append(verify_corollary_equivalence(matrix, circuit_cap=cap_circuits).to_json())
-    return reports
+def _verify_reports(matrix: MinPlusMatrix, args) -> list[dict]:
+    reports = verify_matrix(matrix, args.cap_perms, args.cap_subsets, args.cap_circuits)
+    return [report.to_json() for report in reports]
 
 
 def cmd_verify(args) -> int:
@@ -319,14 +274,14 @@ def cmd_verify(args) -> int:
                 {
                     "instance": index,
                     "matrix": matrix.to_json(),
-                    "checks": _verify_matrix(matrix, args.cap_perms, args.cap_circuits),
+                    "checks": _verify_reports(matrix, args),
                 }
             )
         overall = all(c["pass"] for inst in instances for c in inst["checks"])
         payload = {"seed": args.seed, "instances": instances, "pass": overall}
     else:
         matrix = _load_matrix(args.input)
-        checks = _verify_matrix(matrix, args.cap_perms, args.cap_circuits)
+        checks = _verify_reports(matrix, args)
         overall = all(c["pass"] for c in checks)
         payload = {"input": args.input, "checks": checks, "pass": overall}
     if args.format == "json":

@@ -5,7 +5,8 @@ a_ij is an edge i -> j of that weight, ε is no edge. This module
 enumerates elementary circuits and vertex-disjoint circuit families,
 computes the minimum circuit average weight (the eigenvalue oracle), and
 cross-verifies the characteristic-polynomial structure theorems against
-that circuit data.
+that circuit data. `verify_matrix` runs every check on one matrix from one
+circuit enumeration and one computation of each polynomial.
 
 Vertices are labeled 1..m throughout, matching the adjacency-matrix rows.
 """
@@ -16,10 +17,10 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .charpoly import charpoly_flv, charpoly_tropdet
+from .charpoly import charpoly_flv, charpoly_tropdet, tropdet_assignment, tropdet_bruteforce
 from .errors import CapExceeded
 from .matrix import MinPlusMatrix, epsilon_matrix
-from .polynomial import Factorization, canonicalize, factorize, is_equivalent
+from .polynomial import Factorization, MinPlusPolynomial, canonicalize, factorize, is_equivalent
 from .semiring import EPSILON, MinPlusValue
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "separated_check",
     "verify_separated_factorization",
     "verify_corollary_equivalence",
+    "verify_matrix",
     "plant_separated_instance",
 ]
 
@@ -184,71 +186,8 @@ def matrix_from_network(net: Network) -> MinPlusMatrix:
     return MinPlusMatrix(tuple(tuple(row) for row in rows))
 
 
-def enumerate_circuits(net: Network, cap: int = CIRCUIT_CAP) -> list[Circuit]:
-    """All elementary circuits, by backtracking with blocking.
-
-    Processes start vertices in increasing order on the subgraph of
-    not-smaller vertices, so every circuit is found exactly once and comes
-    out already in canonical rotation. Results are sorted by (length,
-    vertex sequence).
-    """
-    adj = net.successors()
-    weight_of = {(t, h): w for t, h, w in net.edges}
-    circuits: list[Circuit] = []
-
-    for start in range(1, net.m + 1):
-        blocked: dict[int, bool] = defaultdict(bool)
-        block_map: dict[int, set[int]] = defaultdict(set)
-        path: list[int] = []
-
-        def unblock(v: int):
-            blocked[v] = False
-            while block_map[v]:
-                w = block_map[v].pop()
-                if blocked[w]:
-                    unblock(w)
-
-        def search(v: int) -> bool:
-            found = False
-            path.append(v)
-            blocked[v] = True
-            for head, _ in adj[v]:
-                if head < start:
-                    continue
-                if head == start:
-                    cycle = tuple(path)
-                    total = sum(
-                        (weight_of[(cycle[i], cycle[(i + 1) % len(cycle)])] for i in range(len(cycle))),
-                        Fraction(0),
-                    )
-                    circuits.append(Circuit(vertices=cycle, weight=total))
-                    if len(circuits) > cap:
-                        raise CapExceeded(
-                            f"circuit enumeration exceeded the cap of {cap}",
-                            partial_count=len(circuits),
-                        )
-                    found = True
-                elif not blocked[head]:
-                    if search(head):
-                        found = True
-            if found:
-                unblock(v)
-            else:
-                for head, _ in adj[v]:
-                    if head >= start:
-                        block_map[head].add(v)
-            path.pop()
-            return found
-
-        search(start)
-
-    circuits.sort(key=lambda c: (c.length, c.vertices))
-    return circuits
-
-
-def _strongly_connected_components(net: Network) -> list[list[int]]:
-    """Tarjan's algorithm, iterative."""
-    adj = net.successors()
+def _strongly_connected_components(succ: dict[int, list[tuple[int, Fraction]]]) -> list[list[int]]:
+    """Tarjan's algorithm, iterative, on the subgraph induced by the keys of succ."""
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     on_stack: set[int] = set()
@@ -256,10 +195,10 @@ def _strongly_connected_components(net: Network) -> list[list[int]]:
     components: list[list[int]] = []
     counter = 0
 
-    for root in range(1, net.m + 1):
+    for root in succ:
         if root in index:
             continue
-        work = [(root, iter(adj[root]))]
+        work = [(root, iter(succ[root]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
@@ -268,12 +207,14 @@ def _strongly_connected_components(net: Network) -> list[list[int]]:
             v, edge_iter = work[-1]
             advanced = False
             for head, _ in edge_iter:
+                if head not in succ:
+                    continue
                 if head not in index:
                     index[head] = low[head] = counter
                     counter += 1
                     stack.append(head)
                     on_stack.add(head)
-                    work.append((head, iter(adj[head])))
+                    work.append((head, iter(succ[head])))
                     advanced = True
                     break
                 if head in on_stack:
@@ -296,8 +237,84 @@ def _strongly_connected_components(net: Network) -> list[list[int]]:
     return components
 
 
-def _karp_component(vertices: list[int], edges: list[tuple[int, int, Fraction]]) -> Fraction:
-    """Minimum cycle mean of one strongly connected component.
+def _component_of(net: Network) -> dict[int, int]:
+    """Index of the strongly connected component of every vertex."""
+    components = _strongly_connected_components(net.successors())
+    return {v: ci for ci, component in enumerate(components) for v in component}
+
+
+def _circuits_through(start: int, succ: dict[int, list[tuple[int, Fraction]]]):
+    """Johnson's blocking search, on an explicit stack: the vertex tuple of
+    every elementary circuit through start inside succ, start first."""
+    blocked = {start}
+    block_map: dict[int, set[int]] = defaultdict(set)
+    path = [start]
+    work = [iter(succ[start])]
+    found = [False]
+    while work:
+        for head, _ in work[-1]:
+            if head == start:
+                yield tuple(path)
+                found[-1] = True
+            elif head not in blocked:
+                path.append(head)
+                blocked.add(head)
+                work.append(iter(succ[head]))
+                found.append(False)
+                break
+        else:
+            v = path.pop()
+            work.pop()
+            if found.pop():
+                release = [v]
+                while release:
+                    u = release.pop()
+                    if u in blocked:
+                        blocked.discard(u)
+                        release.extend(block_map.pop(u, ()))
+                if found:
+                    found[-1] = True
+            else:
+                for head, _ in succ[v]:
+                    block_map[head].add(v)
+
+
+def enumerate_circuits(net: Network, cap: int = CIRCUIT_CAP) -> list[Circuit]:
+    """All elementary circuits, by Johnson's algorithm.
+
+    Every circuit lies inside one strongly connected component, so edges
+    between components are dropped. Each component is searched from its
+    smallest vertex, which is then removed, and the components of what
+    remains are searched in turn: every circuit is found exactly once,
+    from its smallest vertex, so it comes out already in canonical
+    rotation. Results are sorted by (length, vertex sequence).
+    """
+    weight_of = {(t, h): w for t, h, w in net.edges}
+    adj = net.successors()
+    circuits: list[Circuit] = []
+    pending = [adj]
+    while pending:
+        for component in _strongly_connected_components(pending.pop()):
+            start = min(component)
+            inside = set(component)
+            succ = {v: [(h, w) for h, w in adj[v] if h in inside] for v in component}
+            for cycle in _circuits_through(start, succ):
+                total = sum((weight_of[edge] for edge in zip(cycle, cycle[1:] + cycle[:1])), Fraction(0))
+                circuits.append(Circuit(vertices=cycle, weight=total))
+                if len(circuits) > cap:
+                    raise CapExceeded(
+                        f"circuit enumeration exceeded the cap of {cap}",
+                        partial_count=len(circuits),
+                    )
+            pending.append({v: succ[v] for v in component if v != start})
+
+    circuits.sort(key=lambda c: (c.length, c.vertices))
+    return circuits
+
+
+def _karp_component(edges: list[tuple[int, int, Fraction]]) -> Fraction:
+    """Minimum cycle mean of one strongly connected component, given by
+    its internal edges (every vertex of it is the tail of one).
 
     Dynamic program over exact-length walks from a fixed source: with
     D_k(v) the minimum weight of a k-edge walk source -> v (None when no
@@ -306,7 +323,7 @@ def _karp_component(vertices: list[int], edges: list[tuple[int, int, Fraction]])
         lambda = min over v with D_n(v) finite of
                  max over k < n with D_k(v) finite of (D_n(v) - D_k(v)) / (n - k).
     """
-    order = sorted(vertices)
+    order = sorted({t for t, _, _ in edges})
     pos = {v: i for i, v in enumerate(order)}
     n = len(order)
     table: list[list[Fraction | None]] = [[None] * n for _ in range(n + 1)]
@@ -348,24 +365,13 @@ def min_cycle_mean(net: Network) -> MinPlusValue:
     Runs the exact-length-walk dynamic program independently on each
     strongly connected component, since every circuit lives inside one.
     """
-    by_vertex: dict[int, int] = {}
-    components = _strongly_connected_components(net)
-    for ci, component in enumerate(components):
-        for v in component:
-            by_vertex[v] = ci
+    component = _component_of(net)
     edges_by_component: dict[int, list[tuple[int, int, Fraction]]] = defaultdict(list)
     for tail, head, weight in net.edges:
-        if by_vertex[tail] == by_vertex[head]:
-            edges_by_component[by_vertex[tail]].append((tail, head, weight))
-    best = EPSILON
-    for ci, component in enumerate(components):
-        edges = edges_by_component.get(ci)
-        if not edges:
-            continue
-        lam = MinPlusValue(_karp_component(component, edges))
-        if lam < best:
-            best = lam
-    return best
+        if component[tail] == component[head]:
+            edges_by_component[component[tail]].append((tail, head, weight))
+    means = [MinPlusValue(_karp_component(edges)) for edges in edges_by_component.values()]
+    return min(means, default=EPSILON)
 
 
 def enumerate_extended_circuits(
@@ -404,42 +410,77 @@ def enumerate_extended_circuits(
     return families
 
 
-def coefficient_check(a: MinPlusMatrix, exhaustive_cap: int = EXHAUSTIVE_CAP) -> Report:
-    """Compare each coefficient of tropdet(A ⊕ x⊗I) with the minimum
-    weight sum of vertex-disjoint circuit families of that total length."""
-    net = network_from_matrix(a)
-    poly = charpoly_tropdet(a)
+def _family_minima(circuits: list[Circuit], n: int) -> dict[int, Fraction]:
+    """Least weight of a vertex-disjoint circuit family of total length j,
+    for each j that has one, by a dynamic program over vertex subsets S
+    (bitmasks), with best[S] the least weight of a family covering exactly S:
+
+        best[∅] = 0,  best[S] = min over circuits C ⊆ S with min(C) = min(S)
+                                of w(C) + best[S ∖ C],
+
+    and the minimum for j is the least best[S] over |S| = j.
+    """
+    cheapest: dict[int, Fraction] = {}
+    for circuit in circuits:
+        mask = sum(1 << (v - 1) for v in circuit.vertices)
+        cheapest[mask] = min(circuit.weight, cheapest.get(mask, circuit.weight))
+    by_lowest: dict[int, list[tuple[int, Fraction]]] = defaultdict(list)
+    for mask, weight in cheapest.items():
+        by_lowest[mask & -mask].append((mask, weight))
+    best = {0: Fraction(0)}
+    minima: dict[int, Fraction] = {}
+    for s in range(1, 1 << n):
+        options = [w + best[s ^ m] for m, w in by_lowest[s & -s] if m & s == m and s ^ m in best]
+        if options:
+            best[s] = min(options)
+            j = bin(s).count("1")
+            minima[j] = min(best[s], minima.get(j, best[s]))
+    return minima
+
+
+def _coefficient_report(poly: MinPlusPolynomial, circuits: list[Circuit], exhaustive_cap: int) -> Report:
+    n = poly.degree
+    if n > exhaustive_cap:
+        raise CapExceeded(f"exhaustive family enumeration is capped at {exhaustive_cap} vertices (got {n})")
+    minima = _family_minima(circuits, n)
     details = []
-    all_match = True
-    for j in range(1, a.n + 1):
-        families = enumerate_extended_circuits(net, j, exhaustive_cap=exhaustive_cap)
-        if families:
-            enumerated = MinPlusValue(min(f.weight for f in families))
-        else:
-            enumerated = EPSILON
-        coefficient = poly.coeffs[j]
-        match = coefficient == enumerated
-        all_match = all_match and match
+    for j in range(1, n + 1):
+        coefficient, enumerated = poly.coeffs[j], MinPlusValue(minima.get(j))
         details.append(
             {
                 "j": j,
                 "coefficient": coefficient.to_json(),
                 "circuit_minimum": enumerated.to_json(),
-                "match": match,
+                "match": coefficient == enumerated,
             }
         )
-    return Report(check="coefficients", hypothesis_met=None, details=details, passed=all_match)
+    passed = all(d["match"] for d in details)
+    return Report(check="coefficients", hypothesis_met=None, details=details, passed=passed)
 
 
-def separated_check(net: Network, circuit_cap: int = CIRCUIT_CAP) -> bool:
-    """Whether every vertex belongs to at most one elementary circuit."""
-    seen: set[int] = set()
-    for circuit in enumerate_circuits(net, cap=circuit_cap):
-        for v in circuit.vertices:
-            if v in seen:
-                return False
-            seen.add(v)
-    return True
+def coefficient_check(a: MinPlusMatrix, exhaustive_cap: int = EXHAUSTIVE_CAP) -> Report:
+    """Compare each coefficient of tropdet(A ⊕ x⊗I) with the minimum
+    weight sum of vertex-disjoint circuit families of that total length,
+    computed from one circuit enumeration by a dynamic program over vertex
+    subsets that uses graph data only."""
+    circuits = enumerate_circuits(network_from_matrix(a))
+    return _coefficient_report(charpoly_tropdet(a), circuits, exhaustive_cap)
+
+
+def separated_check(net: Network) -> bool:
+    """Whether every vertex belongs to at most one elementary circuit.
+
+    Decided from the strongly connected components in O(n + m): the
+    network is separated iff no vertex has two out-edges inside its own
+    component, i.e. every component has at most as many internal edges as
+    vertices. Proof: a component with k vertices and exactly k internal
+    edges is one circuit, a single vertex without a loop has none, and a
+    vertex with two internal out-edges (v, u) and (v, u') lies on two
+    circuits, each closed by a path back to v inside the component.
+    """
+    component = _component_of(net)
+    tails = [t for t, h, _ in net.edges if component[t] == component[h]]
+    return len(tails) == len(set(tails))
 
 
 def _homogeneous_groups(circuits: list[Circuit]) -> list[tuple[Fraction, int]]:
@@ -450,14 +491,10 @@ def _homogeneous_groups(circuits: list[Circuit]) -> list[tuple[Fraction, int]]:
     return sorted(totals.items())
 
 
-def verify_separated_factorization(a: MinPlusMatrix, circuit_cap: int = CIRCUIT_CAP) -> Report:
-    """Check that, for a separated network, the characteristic polynomial
-    factors exactly as predicted by the homogeneous circuit groups:
-    (x ⊕ p_1)^(l_1) ⊗ ... ⊗ (x ⊕ p_k)^(l_k) ⊗ x^r with r the number of
-    circuit-free vertices."""
-    net = network_from_matrix(a)
-    circuits = enumerate_circuits(net, cap=circuit_cap)
-    if not separated_check(net, circuit_cap=circuit_cap):
+def _factorization_report(
+    n: int, circuits: list[Circuit], separated: bool, poly: MinPlusPolynomial | None
+) -> Report:
+    if not separated:
         return Report(
             check="separated_factorization",
             hypothesis_met=False,
@@ -468,9 +505,9 @@ def verify_separated_factorization(a: MinPlusMatrix, circuit_cap: int = CIRCUIT_
     covered = sum(length for _, length in groups)
     predicted = Factorization(
         factors=tuple((MinPlusValue(avg), length) for avg, length in groups),
-        xpower=a.n - covered,
+        xpower=n - covered,
     )
-    actual = factorize(charpoly_tropdet(a))
+    actual = factorize(poly)
     details = [
         {"predicted": predicted.to_json(), "actual": actual.to_json()},
     ]
@@ -482,16 +519,18 @@ def verify_separated_factorization(a: MinPlusMatrix, circuit_cap: int = CIRCUIT_
     )
 
 
-def verify_corollary_equivalence(a: MinPlusMatrix, circuit_cap: int = CIRCUIT_CAP) -> Report:
-    """Compare the two characteristic polynomials as functions.
-
-    When the network is separated the equivalence is asserted (the report
-    fails if it does not hold); otherwise the outcome is recorded only.
-    """
+def verify_separated_factorization(a: MinPlusMatrix, circuit_cap: int = CIRCUIT_CAP) -> Report:
+    """Check that, for a separated network, the characteristic polynomial
+    factors exactly as predicted by the homogeneous circuit groups:
+    (x ⊕ p_1)^(l_1) ⊗ ... ⊗ (x ⊕ p_k)^(l_k) ⊗ x^r with r the number of
+    circuit-free vertices."""
     net = network_from_matrix(a)
-    separated = separated_check(net, circuit_cap=circuit_cap)
-    g = charpoly_tropdet(a)
-    g_hat = charpoly_flv(a)
+    circuits = enumerate_circuits(net, cap=circuit_cap)
+    separated = separated_check(net)
+    return _factorization_report(a.n, circuits, separated, charpoly_tropdet(a) if separated else None)
+
+
+def _equivalence_report(separated: bool, g: MinPlusPolynomial, g_hat: MinPlusPolynomial) -> Report:
     equivalent = is_equivalent(g, g_hat)
     details = [
         {
@@ -507,6 +546,39 @@ def verify_corollary_equivalence(a: MinPlusMatrix, circuit_cap: int = CIRCUIT_CA
         details=details,
         passed=equivalent if separated else True,
     )
+
+
+def verify_corollary_equivalence(a: MinPlusMatrix) -> Report:
+    """Compare the two characteristic polynomials as functions.
+
+    When the network is separated the equivalence is asserted (the report
+    fails if it does not hold); otherwise the outcome is recorded only.
+    """
+    return _equivalence_report(separated_check(network_from_matrix(a)), charpoly_tropdet(a), charpoly_flv(a))
+
+
+def verify_matrix(a: MinPlusMatrix, cap_perms: int, cap_subsets: int, circuit_cap: int) -> list[Report]:
+    """Every check of `minplus verify` on one matrix: the tropdet oracle,
+    separation, coefficients, separated factorization and the corollary
+    equivalence, from one circuit enumeration and each polynomial once."""
+    if a.n <= cap_perms:
+        brute, solver = tropdet_bruteforce(a, cap=cap_perms), tropdet_assignment(a)
+        details = {"bruteforce": brute.to_json(), "assignment": solver.to_json(), "match": brute == solver}
+        oracle = Report(check="tropdet_oracle", hypothesis_met=True, details=[details], passed=brute == solver)
+    else:
+        details = {"note": f"order {a.n} above the brute-force cap {cap_perms}"}
+        oracle = Report(check="tropdet_oracle", hypothesis_met=False, details=[details])
+    net = network_from_matrix(a)
+    circuits = enumerate_circuits(net, cap=circuit_cap)
+    separated = separated_check(net)
+    g = charpoly_tropdet(a, cap=cap_subsets)
+    return [
+        oracle,
+        Report(check="separated", hypothesis_met=None, details=[{"separated": separated}]),
+        _coefficient_report(g, circuits, EXHAUSTIVE_CAP),
+        _factorization_report(a.n, circuits, separated, g),
+        _equivalence_report(separated, g, charpoly_flv(a)),
+    ]
 
 
 def plant_separated_instance(

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -209,6 +210,27 @@ def test_cap_exceeded_exit_code(run, example_file):
     code, _, err = run("charpoly", "--cap-subsets", "3", example_file)
     assert code == 3
     assert "capped" in err
+
+
+def test_verify_honours_its_caps(run, example_file):
+    # the example has four circuits and order 7
+    for flag in ("--cap-circuits", "--cap-subsets"):
+        code, _, err = run("verify", flag, "3", example_file)
+        assert code == 3, flag
+        assert "cap" in err
+
+
+def test_verify_complete_order_8(run, tmp_path):
+    # every entry finite: about 16 000 circuits and 2^8 vertex subsets
+    rng = random.Random(8)
+    path = tmp_path / "complete8.txt"
+    path.write_text("\n".join(" ".join(str(rng.randint(-9, 20)) for _ in range(8)) for _ in range(8)) + "\n")
+    code, out, _ = run("verify", "--format", "json", str(path))
+    assert code in (0, 4)
+    by_name = {check["check"]: check for check in json.loads(out)["checks"]}
+    details = by_name["coefficients"]["details"]
+    assert [d["j"] for d in details] == list(range(1, 9))
+    assert all(d["match"] for d in details)
 
 
 def test_output_determinism(run, example_file):

@@ -258,6 +258,15 @@ def test_separated_check(example7):
     assert separated_check(ring)
 
 
+def test_long_cycle_is_one_circuit():
+    # the circuit search keeps its path on an explicit stack
+    n = 5000
+    net = Network(m=n, edges=tuple((v, v % n + 1, Fraction(1)) for v in range(1, n + 1)))
+    circuits = enumerate_circuits(net)
+    assert [(c.vertices, c.weight) for c in circuits] == [(tuple(range(1, n + 1)), Fraction(n))]
+    assert separated_check(net)
+
+
 def test_trace_recursion_coefficients_dominated_by_disjoint_families():
     # every coefficient of the trace recursion is at most the best
     # vertex-disjoint family weight of that total length (walk multisets
