@@ -37,13 +37,13 @@ from .network import (
 )
 from .polynomial import (
     MinPlusPolynomial,
+    _polynomial_from_json,
     breakpoints,
     canonicalize,
     evaluate,
     factorize,
     format_factorization,
     format_polynomial,
-    parse_polynomial,
 )
 from .semiring import MinPlusValue
 
@@ -136,7 +136,7 @@ def _load_matrix_or_polynomial(path: str):
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
         if isinstance(obj, dict) and "coeffs" in obj:
-            return "polynomial", parse_polynomial(text)
+            return "polynomial", _polynomial_from_json(obj)
     return "matrix", parse_matrix(text)
 
 
@@ -307,14 +307,12 @@ def cmd_plot_data(args) -> int:
     points = breakpoints(poly)
     rows = []
     if points:
-        left_x = points[0][0] - 1
-        right_x = points[-1][0] + 1
-        rows.append(("anchor", left_x, evaluate(poly, MinPlusValue(left_x)).rational,
-                     points[0][2], points[0][2]))
-        for x, y, sl, sr in points:
-            rows.append(("breakpoint", x, y, sl, sr))
-        rows.append(("anchor", right_x, evaluate(poly, MinPlusValue(right_x)).rational,
-                     points[-1][3], points[-1][3]))
+        # the function is linear outside its breakpoints
+        x0, y0, slope0, _ = points[0]
+        xk, yk, _, slopek = points[-1]
+        rows.append(("anchor", x0 - 1, y0 - slope0, slope0, slope0))
+        rows.extend(("breakpoint", x, y, sl, sr) for x, y, sl, sr in points)
+        rows.append(("anchor", xk + 1, yk + slopek, slopek, slopek))
     else:
         # single line: two anchors determine it
         for x in (0, 1):

@@ -383,10 +383,7 @@ def enumerate_extended_circuits(
     """All vertex-disjoint circuit families with total length exactly j."""
     if j < 1:
         raise ValueError("total length must be a positive integer")
-    if net.m > exhaustive_cap:
-        raise CapExceeded(
-            f"exhaustive family enumeration is capped at {exhaustive_cap} vertices (got {net.m})"
-        )
+    _require_exhaustive(net.m, exhaustive_cap)
     circuits = enumerate_circuits(net, cap=circuit_cap)
     vertex_sets = [frozenset(c.vertices) for c in circuits]
     families: list[ExtendedCircuit] = []
@@ -438,10 +435,15 @@ def _family_minima(circuits: list[Circuit], n: int) -> dict[int, Fraction]:
     return minima
 
 
-def _coefficient_report(poly: MinPlusPolynomial, circuits: list[Circuit], exhaustive_cap: int) -> Report:
-    n = poly.degree
+def _require_exhaustive(n: int, exhaustive_cap: int) -> None:
+    """Raise before any work when the order alone puts the family minima
+    over the exhaustive cap."""
     if n > exhaustive_cap:
         raise CapExceeded(f"exhaustive family enumeration is capped at {exhaustive_cap} vertices (got {n})")
+
+
+def _coefficient_report(poly: MinPlusPolynomial, circuits: list[Circuit]) -> Report:
+    n = poly.degree
     minima = _family_minima(circuits, n)
     details = []
     for j in range(1, n + 1):
@@ -463,8 +465,9 @@ def coefficient_check(a: MinPlusMatrix, exhaustive_cap: int = EXHAUSTIVE_CAP) ->
     weight sum of vertex-disjoint circuit families of that total length,
     computed from one circuit enumeration by a dynamic program over vertex
     subsets that uses graph data only."""
+    _require_exhaustive(a.n, exhaustive_cap)
     circuits = enumerate_circuits(network_from_matrix(a))
-    return _coefficient_report(charpoly_tropdet(a), circuits, exhaustive_cap)
+    return _coefficient_report(charpoly_tropdet(a), circuits)
 
 
 def separated_check(net: Network) -> bool:
@@ -560,7 +563,9 @@ def verify_corollary_equivalence(a: MinPlusMatrix) -> Report:
 def verify_matrix(a: MinPlusMatrix, cap_perms: int, cap_subsets: int, circuit_cap: int) -> list[Report]:
     """Every check of `minplus verify` on one matrix: the tropdet oracle,
     separation, coefficients, separated factorization and the corollary
-    equivalence, from one circuit enumeration and each polynomial once."""
+    equivalence, from one circuit enumeration and each polynomial once.
+    An order above the exhaustive cap raises `CapExceeded` before any work."""
+    _require_exhaustive(a.n, EXHAUSTIVE_CAP)
     if a.n <= cap_perms:
         brute, solver = tropdet_bruteforce(a, cap=cap_perms), tropdet_assignment(a)
         details = {"bruteforce": brute.to_json(), "assignment": solver.to_json(), "match": brute == solver}
@@ -575,7 +580,7 @@ def verify_matrix(a: MinPlusMatrix, cap_perms: int, cap_subsets: int, circuit_ca
     return [
         oracle,
         Report(check="separated", hypothesis_met=None, details=[{"separated": separated}]),
-        _coefficient_report(g, circuits, EXHAUSTIVE_CAP),
+        _coefficient_report(g, circuits),
         _factorization_report(a.n, circuits, separated, g),
         _equivalence_report(separated, g, charpoly_flv(a)),
     ]

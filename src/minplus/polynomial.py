@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import ParseError
 from .semiring import (
@@ -25,9 +26,7 @@ from .semiring import (
     E,
     MinPlusValue,
     as_value,
-    otimes,
     parse_value,
-    power,
 )
 
 __all__ = [
@@ -120,15 +119,20 @@ class Factorization:
 
 
 def evaluate(p: MinPlusPolynomial, x) -> MinPlusValue:
-    """Value of the piecewise-linear function at x, ε-aware."""
+    """Value of the piecewise-linear function at x, ε-aware.
+
+    One pass over the finite coefficients on Fractions, min of
+    c_j + (n-j)·x. At x = ε every term with a positive power of x is ε, so
+    the value is the constant coefficient c_n (x^0 = 0); with no finite
+    coefficient the value is ε.
+    """
     x = as_value(x)
     n = p.degree
-    best = EPSILON
-    for j, c in enumerate(p.coeffs):
-        term = otimes(c, power(x, n - j))
-        if term < best:
-            best = term
-    return best
+    if x.is_epsilon:
+        return p.coeffs[n]
+    q = x.rational
+    terms = [c.rational + (n - j) * q for j, c in enumerate(p.coeffs) if not c.is_epsilon]
+    return MinPlusValue(min(terms)) if terms else EPSILON
 
 
 def _require_monic(p: MinPlusPolynomial):
@@ -139,30 +143,28 @@ def _require_monic(p: MinPlusPolynomial):
 def _hull_corners(coeffs) -> list[tuple[int, Fraction]]:
     """Vertices of the lower convex hull of the finite points (j, c_j).
 
-    Scans left to right: from the current pivot, pick the smallest slope to
-    any later finite coefficient; among ties, the farthest index, so that
-    segment slopes strictly increase. ε coefficients are skipped (slope
-    treated as +infinity); a trailing run of ε leaves the hull short of
-    index n, which callers read as an x^r factor.
+    Andrew's monotone chain over the finite points in index order, O(n):
+    the coefficients are scaled once by the LCM D of their denominators,
+    so the chain runs on ints, and the last corner j (after i) is popped
+    while the new point k does not lie strictly above the line through i
+    and j, i.e. while (c_j - c_i)(k - j) >= (c_k - c_j)(j - i). Collinear
+    middle points are dropped, so segment slopes strictly increase. ε
+    coefficients are skipped; a trailing run of ε leaves the hull short of
+    index n, which callers read as an x^r factor. Corners are returned as
+    (j, c_j) with c_j divided back exactly by D.
     """
     finite = [(j, c.rational) for j, c in enumerate(coeffs) if not c.is_epsilon]
-    if not finite:
-        return []
-    corners = [finite[0]]
-    pos = 0
-    while pos < len(finite) - 1:
-        i, ci = finite[pos]
-        best_slope = None
-        best_pos = None
-        for later in range(pos + 1, len(finite)):
-            k, ck = finite[later]
-            slope = Fraction(ck - ci, k - i)
-            if best_slope is None or slope <= best_slope:
-                best_slope = slope
-                best_pos = later
-        corners.append(finite[best_pos])
-        pos = best_pos
-    return corners
+    scale = lcm(*(c.denominator for _, c in finite))
+    hull: list[tuple[int, int]] = []
+    for k, c in finite:
+        ck = c.numerator * (scale // c.denominator)
+        while len(hull) > 1:
+            (i, ci), (j, cj) = hull[-2], hull[-1]
+            if (cj - ci) * (k - j) < (ck - cj) * (j - i):
+                break
+            hull.pop()
+        hull.append((k, ck))
+    return [(j, Fraction(c, scale)) for j, c in hull]
 
 
 def canonicalize(p: MinPlusPolynomial) -> MinPlusPolynomial:
@@ -252,6 +254,11 @@ def parse_polynomial(text: str) -> MinPlusPolynomial:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    return _polynomial_from_json(obj)
+
+
+def _polynomial_from_json(obj) -> MinPlusPolynomial:
+    """Validate a decoded polynomial JSON object and build the polynomial."""
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise ParseError('polynomial JSON must be an object with a "coeffs" field')
     raw = obj["coeffs"]

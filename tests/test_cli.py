@@ -206,6 +206,20 @@ def test_parse_error_exit_code(run, tmp_path):
     assert code == 2
 
 
+def test_polynomial_file_errors_exit_2(run, tmp_path):
+    bad_json = tmp_path / "truncated.json"
+    bad_json.write_text('{"coeffs": [0, 1')
+    code, out, err = run("factor", str(bad_json))
+    assert (code, out) == (2, "")
+    assert err == "error: invalid JSON: Expecting ',' delimiter (line 1, column 17)\n"
+
+    bad_coeff = tmp_path / "coeff.json"
+    bad_coeff.write_text('{"degree": 2, "coeffs": [0, "oops", 1]}')
+    code, out, err = run("roots", str(bad_coeff))
+    assert (code, out) == (2, "")
+    assert err == "error: bad coefficient 'oops' at index 1: not a min-plus value: 'oops'\n"
+
+
 def test_cap_exceeded_exit_code(run, example_file):
     code, _, err = run("charpoly", "--cap-subsets", "3", example_file)
     assert code == 3

@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from minplus import network
 from minplus import (
     CapExceeded,
     Circuit,
@@ -214,6 +215,21 @@ def test_extended_circuits_cap():
         enumerate_extended_circuits(Network(m=11, edges=()), 1)
     with pytest.raises(ValueError):
         enumerate_extended_circuits(Network(m=2, edges=()), 0)
+
+
+def test_verify_matrix_fails_fast_above_exhaustive_cap(monkeypatch):
+    # the order alone decides the exit: no circuit search, no subset scan
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done before the exhaustive cap check")
+
+    monkeypatch.setattr(network, "charpoly_tropdet", refuse)
+    monkeypatch.setattr(network, "enumerate_circuits", refuse)
+    n = network.EXHAUSTIVE_CAP + 1
+    a = MinPlusMatrix([[1 if j == (i + 1) % n else EPS for j in range(n)] for i in range(n)])
+    with pytest.raises(CapExceeded, match="exhaustive family enumeration is capped at 10 vertices"):
+        network.verify_matrix(a, cap_perms=9, cap_subsets=16, circuit_cap=10**6)
+    with pytest.raises(CapExceeded, match="exhaustive"):
+        coefficient_check(a)
 
 
 def test_coefficient_check_golden(example7):
