@@ -256,7 +256,7 @@ def cmd_circuits(args) -> int:
 
 
 def _verify_reports(matrix: MinPlusMatrix, args) -> list[dict]:
-    reports = verify_matrix(matrix, args.cap_perms, args.cap_subsets, args.cap_circuits)
+    reports = verify_matrix(matrix, args.cap_perms, args.cap_subsets)
     return [report.to_json() for report in reports]
 
 

@@ -5,8 +5,9 @@ a_ij is an edge i -> j of that weight, ε is no edge. This module
 enumerates elementary circuits and vertex-disjoint circuit families,
 computes the minimum circuit average weight (the eigenvalue oracle), and
 cross-verifies the characteristic-polynomial structure theorems against
-that circuit data. `verify_matrix` runs every check on one matrix from one
-circuit enumeration and one computation of each polynomial.
+graph data. `verify_matrix` runs every check on one matrix from one
+computation of each polynomial, one component pass and one subset dynamic
+program over the graph; it lists no circuits.
 
 Vertices are labeled 1..m throughout, matching the adjacency-matrix rows.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .charpoly import charpoly_flv, charpoly_tropdet, tropdet_assignment, tropdet_bruteforce
 from .errors import CapExceeded
@@ -237,10 +239,15 @@ def _strongly_connected_components(succ: dict[int, list[tuple[int, Fraction]]]) 
     return components
 
 
-def _component_of(net: Network) -> dict[int, int]:
-    """Index of the strongly connected component of every vertex."""
+def _edges_by_component(net: Network) -> list[list[tuple[int, int, Fraction]]]:
+    """The internal edges of each strongly connected component that has one."""
     components = _strongly_connected_components(net.successors())
-    return {v: ci for ci, component in enumerate(components) for v in component}
+    component = {v: ci for ci, members in enumerate(components) for v in members}
+    inside: dict[int, list[tuple[int, int, Fraction]]] = defaultdict(list)
+    for tail, head, weight in net.edges:
+        if component[tail] == component[head]:
+            inside[component[tail]].append((tail, head, weight))
+    return list(inside.values())
 
 
 def _circuits_through(start: int, succ: dict[int, list[tuple[int, Fraction]]]):
@@ -365,12 +372,7 @@ def min_cycle_mean(net: Network) -> MinPlusValue:
     Runs the exact-length-walk dynamic program independently on each
     strongly connected component, since every circuit lives inside one.
     """
-    component = _component_of(net)
-    edges_by_component: dict[int, list[tuple[int, int, Fraction]]] = defaultdict(list)
-    for tail, head, weight in net.edges:
-        if component[tail] == component[head]:
-            edges_by_component[component[tail]].append((tail, head, weight))
-    means = [MinPlusValue(_karp_component(edges)) for edges in edges_by_component.values()]
+    means = [MinPlusValue(_karp_component(edges)) for edges in _edges_by_component(net)]
     return min(means, default=EPSILON)
 
 
@@ -383,7 +385,8 @@ def enumerate_extended_circuits(
     """All vertex-disjoint circuit families with total length exactly j."""
     if j < 1:
         raise ValueError("total length must be a positive integer")
-    _require_exhaustive(net.m, exhaustive_cap)
+    if net.m > exhaustive_cap:
+        raise CapExceeded(f"exhaustive family enumeration is capped at {exhaustive_cap} vertices (got {net.m})")
     circuits = enumerate_circuits(net, cap=circuit_cap)
     vertex_sets = [frozenset(c.vertices) for c in circuits]
     families: list[ExtendedCircuit] = []
@@ -407,67 +410,78 @@ def enumerate_extended_circuits(
     return families
 
 
-def _family_minima(circuits: list[Circuit], n: int) -> dict[int, Fraction]:
+def _family_minima(net: Network) -> dict[int, Fraction]:
     """Least weight of a vertex-disjoint circuit family of total length j,
-    for each j that has one, by a dynamic program over vertex subsets S
-    (bitmasks), with best[S] the least weight of a family covering exactly S:
+    for each j that has one, by one dynamic program over vertex subsets S
+    (bitmasks) on the LCM-scaled int weights; no circuit is listed.
 
-        best[∅] = 0,  best[S] = min over circuits C ⊆ S with min(C) = min(S)
-                                of w(C) + best[S ∖ C],
+    Order a family's circuits by decreasing lowest vertex: the family is
+    then built in exactly one way, opening each circuit at its lowest
+    vertex, below every vertex covered so far, and walking it through
+    higher vertices back to it. With paths[S][v] the least weight of closed
+    circuits plus one open path from min(S) to v, together covering exactly S,
 
-    and the minimum for j is the least best[S] over |S| = j.
+        paths[{u}][u] = 0,
+        paths[S ∪ {u}][u] ≤ paths[S][v] + a(v, u)   for u ∉ S, u > min(S),
+        closed[S] = min over v of paths[S][v] + a(v, min(S)),
+        paths[S ∪ {u}][u] ≤ closed[S]               for u < min(S),
+
+    and closed[S] is the least weight of a family covering exactly S. Each
+    step goes to a larger mask, so one ascending pass takes O(2^n · m).
     """
-    cheapest: dict[int, Fraction] = {}
-    for circuit in circuits:
-        mask = sum(1 << (v - 1) for v in circuit.vertices)
-        cheapest[mask] = min(circuit.weight, cheapest.get(mask, circuit.weight))
-    by_lowest: dict[int, list[tuple[int, Fraction]]] = defaultdict(list)
-    for mask, weight in cheapest.items():
-        by_lowest[mask & -mask].append((mask, weight))
-    best = {0: Fraction(0)}
-    minima: dict[int, Fraction] = {}
-    for s in range(1, 1 << n):
-        options = [w + best[s ^ m] for m, w in by_lowest[s & -s] if m & s == m and s ^ m in best]
-        if options:
-            best[s] = min(options)
-            j = bin(s).count("1")
-            minima[j] = min(best[s], minima.get(j, best[s]))
-    return minima
+    d = lcm(*(w.denominator for _, _, w in net.edges))
+    out: list[list[tuple[int, int]]] = [[] for _ in range(net.m)]
+    into: list[dict[int, int]] = [{} for _ in range(net.m)]
+    for tail, head, weight in net.edges:
+        out[tail - 1].append((head - 1, int(weight * d)))
+        into[head - 1][tail - 1] = int(weight * d)
+    paths: dict[int, dict[int, int]] = {1 << u: {u: 0} for u in range(net.m)}
+    minima: dict[int, int] = {}
+    for s in range(1, 1 << net.m):
+        ends = paths.pop(s, None)
+        if ends is None:
+            continue
+        low = (s & -s).bit_length() - 1
+        for v, total in ends.items():
+            for u, weight in out[v]:
+                if u > low and not s >> u & 1:
+                    target = paths.setdefault(s | 1 << u, {})
+                    if u not in target or total + weight < target[u]:
+                        target[u] = total + weight
+        closed = min((total + into[low][v] for v, total in ends.items() if v in into[low]), default=None)
+        if closed is None:
+            continue
+        j = s.bit_count()
+        minima[j] = min(closed, minima.get(j, closed))
+        for u in range(low):
+            target = paths.setdefault(s | 1 << u, {})
+            if u not in target or closed < target[u]:
+                target[u] = closed
+    return {j: Fraction(total, d) for j, total in minima.items()}
 
 
-def _require_exhaustive(n: int, exhaustive_cap: int) -> None:
-    """Raise before any work when the order alone puts the family minima
-    over the exhaustive cap."""
-    if n > exhaustive_cap:
-        raise CapExceeded(f"exhaustive family enumeration is capped at {exhaustive_cap} vertices (got {n})")
-
-
-def _coefficient_report(poly: MinPlusPolynomial, circuits: list[Circuit]) -> Report:
-    n = poly.degree
-    minima = _family_minima(circuits, n)
+def _coefficient_report(poly: MinPlusPolynomial, minima: dict[int, Fraction]) -> Report:
     details = []
-    for j in range(1, n + 1):
-        coefficient, enumerated = poly.coeffs[j], MinPlusValue(minima.get(j))
-        details.append(
-            {
-                "j": j,
-                "coefficient": coefficient.to_json(),
-                "circuit_minimum": enumerated.to_json(),
-                "match": coefficient == enumerated,
-            }
-        )
+    for j in range(1, poly.degree + 1):
+        coefficient, family = poly.coeffs[j], MinPlusValue(minima.get(j))
+        details.append({"j": j, "coefficient": coefficient.to_json(), "circuit_minimum": family.to_json(),
+                        "match": coefficient == family})
     passed = all(d["match"] for d in details)
     return Report(check="coefficients", hypothesis_met=None, details=details, passed=passed)
 
 
-def coefficient_check(a: MinPlusMatrix, exhaustive_cap: int = EXHAUSTIVE_CAP) -> Report:
+def coefficient_check(a: MinPlusMatrix) -> Report:
     """Compare each coefficient of tropdet(A ⊕ x⊗I) with the minimum
     weight sum of vertex-disjoint circuit families of that total length,
-    computed from one circuit enumeration by a dynamic program over vertex
-    subsets that uses graph data only."""
-    _require_exhaustive(a.n, exhaustive_cap)
-    circuits = enumerate_circuits(network_from_matrix(a))
-    return _coefficient_report(charpoly_tropdet(a), circuits)
+    computed by a dynamic program over vertex subsets that reads the graph
+    only (see `_family_minima`). The subset scan of `charpoly_tropdet`
+    runs first, so its cap stops both 2^n stages."""
+    return _coefficient_report(charpoly_tropdet(a), _family_minima(network_from_matrix(a)))
+
+
+def _is_separated(components: list[list[tuple[int, int, Fraction]]]) -> bool:
+    tails = [tail for edges in components for tail, _, _ in edges]
+    return len(tails) == len(set(tails))
 
 
 def separated_check(net: Network) -> bool:
@@ -481,56 +495,43 @@ def separated_check(net: Network) -> bool:
     vertex with two internal out-edges (v, u) and (v, u') lies on two
     circuits, each closed by a path back to v inside the component.
     """
-    component = _component_of(net)
-    tails = [t for t, h, _ in net.edges if component[t] == component[h]]
-    return len(tails) == len(set(tails))
+    return _is_separated(_edges_by_component(net))
 
 
-def _homogeneous_groups(circuits: list[Circuit]) -> list[tuple[Fraction, int]]:
-    """Group circuits of equal average weight: (average, total length), ascending."""
+def _homogeneous_groups(components: list[list[tuple[int, int, Fraction]]]) -> list[tuple[Fraction, int]]:
+    """Group the circuits of a separated network by average weight:
+    (average, total length), ascending. Each component with an internal
+    edge is one circuit, made of exactly its internal edges."""
     totals: dict[Fraction, int] = defaultdict(int)
-    for circuit in circuits:
-        totals[circuit.average] += circuit.length
+    for edges in components:
+        totals[sum((w for _, _, w in edges), Fraction(0)) / len(edges)] += len(edges)
     return sorted(totals.items())
 
 
 def _factorization_report(
-    n: int, circuits: list[Circuit], separated: bool, poly: MinPlusPolynomial | None
+    n: int, groups: list[tuple[Fraction, int]] | None, poly: MinPlusPolynomial | None
 ) -> Report:
-    if not separated:
-        return Report(
-            check="separated_factorization",
-            hypothesis_met=False,
-            details=[{"note": "hypothesis not met: circuits are not pairwise vertex-disjoint"}],
-            passed=True,
-        )
-    groups = _homogeneous_groups(circuits)
-    covered = sum(length for _, length in groups)
+    if groups is None:
+        note = "hypothesis not met: circuits are not pairwise vertex-disjoint"
+        return Report(check="separated_factorization", hypothesis_met=False, details=[{"note": note}])
     predicted = Factorization(
         factors=tuple((MinPlusValue(avg), length) for avg, length in groups),
-        xpower=n - covered,
+        xpower=n - sum(length for _, length in groups),
     )
     actual = factorize(poly)
-    details = [
-        {"predicted": predicted.to_json(), "actual": actual.to_json()},
-    ]
-    return Report(
-        check="separated_factorization",
-        hypothesis_met=True,
-        details=details,
-        passed=predicted == actual,
-    )
+    details = [{"predicted": predicted.to_json(), "actual": actual.to_json()}]
+    return Report(check="separated_factorization", hypothesis_met=True, details=details, passed=predicted == actual)
 
 
-def verify_separated_factorization(a: MinPlusMatrix, circuit_cap: int = CIRCUIT_CAP) -> Report:
+def verify_separated_factorization(a: MinPlusMatrix) -> Report:
     """Check that, for a separated network, the characteristic polynomial
     factors exactly as predicted by the homogeneous circuit groups:
     (x ⊕ p_1)^(l_1) ⊗ ... ⊗ (x ⊕ p_k)^(l_k) ⊗ x^r with r the number of
     circuit-free vertices."""
-    net = network_from_matrix(a)
-    circuits = enumerate_circuits(net, cap=circuit_cap)
-    separated = separated_check(net)
-    return _factorization_report(a.n, circuits, separated, charpoly_tropdet(a) if separated else None)
+    components = _edges_by_component(network_from_matrix(a))
+    if not _is_separated(components):
+        return _factorization_report(a.n, None, None)
+    return _factorization_report(a.n, _homogeneous_groups(components), charpoly_tropdet(a))
 
 
 def _equivalence_report(separated: bool, g: MinPlusPolynomial, g_hat: MinPlusPolynomial) -> Report:
@@ -560,12 +561,11 @@ def verify_corollary_equivalence(a: MinPlusMatrix) -> Report:
     return _equivalence_report(separated_check(network_from_matrix(a)), charpoly_tropdet(a), charpoly_flv(a))
 
 
-def verify_matrix(a: MinPlusMatrix, cap_perms: int, cap_subsets: int, circuit_cap: int) -> list[Report]:
+def verify_matrix(a: MinPlusMatrix, cap_perms: int, cap_subsets: int) -> list[Report]:
     """Every check of `minplus verify` on one matrix: the tropdet oracle,
     separation, coefficients, separated factorization and the corollary
-    equivalence, from one circuit enumeration and each polynomial once.
-    An order above the exhaustive cap raises `CapExceeded` before any work."""
-    _require_exhaustive(a.n, EXHAUSTIVE_CAP)
+    equivalence. No circuit is listed. The subset scan of `charpoly_tropdet`
+    runs before the family-minima program, so `cap_subsets` bounds both."""
     if a.n <= cap_perms:
         brute, solver = tropdet_bruteforce(a, cap=cap_perms), tropdet_assignment(a)
         details = {"bruteforce": brute.to_json(), "assignment": solver.to_json(), "match": brute == solver}
@@ -573,15 +573,15 @@ def verify_matrix(a: MinPlusMatrix, cap_perms: int, cap_subsets: int, circuit_ca
     else:
         details = {"note": f"order {a.n} above the brute-force cap {cap_perms}"}
         oracle = Report(check="tropdet_oracle", hypothesis_met=False, details=[details])
-    net = network_from_matrix(a)
-    circuits = enumerate_circuits(net, cap=circuit_cap)
-    separated = separated_check(net)
     g = charpoly_tropdet(a, cap=cap_subsets)
+    net = network_from_matrix(a)
+    components = _edges_by_component(net)
+    separated = _is_separated(components)
     return [
         oracle,
         Report(check="separated", hypothesis_met=None, details=[{"separated": separated}]),
-        _coefficient_report(g, circuits),
-        _factorization_report(a.n, circuits, separated, g),
+        _coefficient_report(g, _family_minima(net)),
+        _factorization_report(a.n, _homogeneous_groups(components) if separated else None, g),
         _equivalence_report(separated, g, charpoly_flv(a)),
     ]
 

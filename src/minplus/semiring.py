@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _EPSILON_TOKENS = {"inf", "+inf", "infinity", "eps", "epsilon", "ε"}
+_EXPONENT_LIMIT = 4300
 
 
 class MinPlusValue:
@@ -115,9 +116,16 @@ class MinPlusValue:
 
 def _parse_token(token: str) -> Fraction | None:
     text = token.strip()
-    if text.lower() in _EPSILON_TOKENS:
+    lowered = text.lower()
+    if lowered in _EPSILON_TOKENS:
         return None
     try:
+        # Fraction builds 10**exponent whatever its size: an exponent past
+        # Python's default int-to-string digit limit is refused, as a longer
+        # mantissa already is
+        _, marker, exponent = lowered.partition("e")
+        if marker and abs(int(exponent)) > _EXPONENT_LIMIT:
+            raise ValueError("exponent too large")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a min-plus value: {token!r}") from exc

@@ -1,5 +1,7 @@
 import json
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -227,15 +229,18 @@ def test_cap_exceeded_exit_code(run, example_file):
 
 
 def test_verify_honours_its_caps(run, example_file):
-    # the example has four circuits and order 7
-    for flag in ("--cap-circuits", "--cap-subsets"):
-        code, _, err = run("verify", flag, "3", example_file)
-        assert code == 3, flag
-        assert "cap" in err
+    code, _, err = run("verify", "--cap-subsets", "3", example_file)
+    assert code == 3
+    assert "capped" in err
+    # verify lists no circuits, so the circuit cap (the example has four) does not apply
+    assert run("verify", "--cap-circuits", "3", example_file) == run("verify", example_file)
+    assert run("verify", "--cap-circuits", "3", "--format", "json", example_file) == run(
+        "verify", "--format", "json", example_file
+    )
 
 
 def test_verify_complete_order_8(run, tmp_path):
-    # every entry finite: about 16 000 circuits and 2^8 vertex subsets
+    # every entry finite: about 16 000 circuits, none of them listed, and 2^8 vertex subsets
     rng = random.Random(8)
     path = tmp_path / "complete8.txt"
     path.write_text("\n".join(" ".join(str(rng.randint(-9, 20)) for _ in range(8)) for _ in range(8)) + "\n")
@@ -245,6 +250,35 @@ def test_verify_complete_order_8(run, tmp_path):
     details = by_name["coefficients"]["details"]
     assert [d["j"] for d in details] == list(range(1, 9))
     assert all(d["match"] for d in details)
+
+
+def test_verify_random_separated_above_order_10(run):
+    code, out, _ = run("verify", "--random-separated", "3", "--size", "12", "--format", "json")
+    assert code in (0, 4)
+    instances = json.loads(out)["instances"]
+    assert len(instances) == 3
+    for instance in instances:
+        by_name = {check["check"]: check for check in instance["checks"]}
+        factorization = by_name["separated_factorization"]
+        assert factorization["hypothesis_met"] is True
+        assert factorization["details"][0]["predicted"] == factorization["details"][0]["actual"]
+        assert by_name["coefficients"]["pass"] is True
+
+
+def test_exponent_bomb_is_a_parse_error(run, tmp_path):
+    bomb = tmp_path / "bomb.txt"
+    bomb.write_text("1e5000000\n")
+    started = time.perf_counter()
+    code, out, err = run("eigenvalue", str(bomb))
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: bad matrix entry '1e5000000' (line 1, column 1)\n"
+
+    exact = tmp_path / "exact.txt"
+    exact.write_text("1e300 inf\ninf 2.5E-3\n")
+    code, out, _ = run("charpoly", "--method", "tropdet", str(exact))
+    assert code == 0
+    assert f"tropdet coeffs: 0 1/400 {10**300 + Fraction(1, 400)}" in out
 
 
 def test_output_determinism(run, example_file):

@@ -217,19 +217,66 @@ def test_extended_circuits_cap():
         enumerate_extended_circuits(Network(m=2, edges=()), 0)
 
 
-def test_verify_matrix_fails_fast_above_exhaustive_cap(monkeypatch):
-    # the order alone decides the exit: no circuit search, no subset scan
-    def refuse(*args, **kwargs):
-        raise AssertionError("work done before the exhaustive cap check")
+def _planted_minima(planted, n):
+    """Independent oracle: the least weight of a subset of the planted
+    cycles, for each total length 1..n (None when no subset has it)."""
+    minima = [None] * (n + 1)
+    for size in range(1, len(planted) + 1):
+        for chosen in combinations(planted, size):
+            j = sum(len(cycle) for cycle, _ in chosen)
+            weight = sum((sum(weights, Fraction(0)) for _, weights in chosen), Fraction(0))
+            if minima[j] is None or weight < minima[j]:
+                minima[j] = weight
+    return minima[1:]
 
-    monkeypatch.setattr(network, "charpoly_tropdet", refuse)
+
+def test_verify_matrix_above_the_old_exhaustive_cap_matches_oracles():
+    rng = random.Random(20261021)
+    cases = []
+    for n in (11, 12):
+        values = [Fraction(rng.randint(-9, 20), rng.randint(1, 3)) for _ in range(n)]
+        cases.append((diag(*values), [sum(sorted(values)[:j]) for j in range(1, n + 1)]))
+        matrix, planted = plant_separated_instance(rng, n)
+        while len(planted) < 2:
+            matrix, planted = plant_separated_instance(rng, n)
+        cases.append((matrix, _planted_minima(planted, n)))
+    for a, expected in cases:
+        reports = {r.check: r for r in network.verify_matrix(a, cap_perms=9, cap_subsets=16)}
+        assert [r.check for r in reports.values()] == [
+            "tropdet_oracle", "separated", "coefficients", "separated_factorization", "corollary_equivalence"
+        ]
+        oracle = [MinPlusValue(w).to_json() for w in expected]
+        details = reports["coefficients"].details
+        assert [d["coefficient"] for d in details] == oracle
+        assert [d["circuit_minimum"] for d in details] == oracle
+        assert reports["coefficients"].passed
+        assert reports["separated_factorization"].hypothesis_met
+        assert reports["separated_factorization"].passed
+
+
+def test_verify_matrix_subset_cap_stops_before_family_minima(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("family minima computed past the subset cap")
+
+    monkeypatch.setattr(network, "_family_minima", refuse)
+    a = diag(*range(12))
+    with pytest.raises(CapExceeded, match="capped at order 11"):
+        network.verify_matrix(a, cap_perms=9, cap_subsets=11)
+    with pytest.raises(CapExceeded, match="capped at order 16"):
+        coefficient_check(diag(*range(17)))
+
+
+def test_verify_lists_no_circuits(monkeypatch, example7):
+    def refuse(*args, **kwargs):
+        raise AssertionError("circuits enumerated")
+
     monkeypatch.setattr(network, "enumerate_circuits", refuse)
-    n = network.EXHAUSTIVE_CAP + 1
-    a = MinPlusMatrix([[1 if j == (i + 1) % n else EPS for j in range(n)] for i in range(n)])
-    with pytest.raises(CapExceeded, match="exhaustive family enumeration is capped at 10 vertices"):
-        network.verify_matrix(a, cap_perms=9, cap_subsets=16, circuit_cap=10**6)
-    with pytest.raises(CapExceeded, match="exhaustive"):
-        coefficient_check(a)
+    rng = random.Random(20261022)
+    matrices = [example7, random_matrix(rng, 8), plant_separated_instance(rng, 9)[0]]
+    for a in matrices:
+        assert all(r.passed or r.check == "corollary_equivalence" for r in network.verify_matrix(a, 9, 16))
+        assert coefficient_check(a).passed
+        assert verify_separated_factorization(a).passed
 
 
 def test_coefficient_check_golden(example7):
@@ -257,9 +304,11 @@ def test_coefficient_check_acyclic():
 
 
 def test_coefficient_check_random():
+    # orders up to 12: the subset dynamic program against the subset scan,
+    # beyond the reach of the family backtracking
     rng = random.Random(20240826)
     for _ in range(30):
-        a = random_matrix(rng, rng.randint(1, 6))
+        a = random_matrix(rng, rng.randint(1, 12))
         assert coefficient_check(a).passed
 
 
