@@ -46,6 +46,7 @@ from .polynomial import (
     parse_polynomial,
 )
 from .charpoly import (
+    canonical_charpoly_tropdet,
     charpoly_flv,
     charpoly_tropdet,
     eigenvalue_from_charpoly,
@@ -105,6 +106,7 @@ __all__ = [
     "format_polynomial",
     "is_equivalent",
     "parse_polynomial",
+    "canonical_charpoly_tropdet",
     "charpoly_flv",
     "charpoly_tropdet",
     "eigenvalue_from_charpoly",

@@ -12,6 +12,25 @@ Two distinct constructions are provided:
   recursion for characteristic polynomials. It is computed as the
   equivalent scalar recursion over the closed-walk minima Tr(A^k).
 
+Every root of the first polynomial is fixed by the lower hull of the
+points (j, c_j) alone, that is by the function f(x) = tropdet(A ⊕ x⊗I) =
+min_j c_j + (n-j)·x. ``canonical_charpoly_tropdet`` finds that hull by
+parametric assignment (Eisner–Severance probing; Burkard & Butkovič,
+DAM 130, 2003; Gassner & Klinz, Networks 55, 2010), each probe one
+assignment solve on A ⊕ X⊗I, so it has no size cap; ``factor``,
+``roots``, ``plot-data`` and ``eigenvalue`` use it. The coefficients
+off the hull (the best principal submatrix problem, of open complexity)
+need the subset scan of ``charpoly_tropdet``, which ``charpoly`` and
+``verify`` keep, under their cap.
+
+Any optimal matching at X is a supporting line of the hull. Let k of
+its matched diagonal cells take X, let S be the other n-k indices and
+j = n-k. The rest of the matching is a permutation of S on entries of
+A, of cost c >= c_j. So f(X) = c + k·X >= c_j + (n-j)·X >= f(X), both
+are equalities, c = c_j, and the line c_j + (n-j)·x touches f at X: the
+point (j, c_j) lies on the hull, whichever optimal matching the solver
+returns.
+
 The tropical determinant itself comes in two independent implementations,
 a permutation brute force and a minimum-cost assignment solver, so each
 can serve as the other's oracle.
@@ -31,7 +50,7 @@ from math import lcm
 
 from .errors import CapExceeded
 from .matrix import MinPlusMatrix
-from .polynomial import MinPlusPolynomial
+from .polynomial import MinPlusPolynomial, canonicalize
 from .semiring import EPSILON, E, MinPlusValue
 
 __all__ = [
@@ -40,6 +59,7 @@ __all__ = [
     "tropdet_bruteforce",
     "tropdet_assignment",
     "charpoly_tropdet",
+    "canonical_charpoly_tropdet",
     "charpoly_flv",
     "eigenvalue_from_charpoly",
 ]
@@ -91,13 +111,14 @@ def tropdet_bruteforce(a: MinPlusMatrix, cap: int = BRUTE_FORCE_CAP) -> MinPlusV
     return _unscale(best, d)
 
 
-def _assignment_cost(rows: list[list[int | None]]) -> int | None:
+def _assignment(rows: list[list[int | None]]) -> tuple[int, list[int]] | None:
     """Minimum-cost perfect assignment with None as a forbidden cell.
 
     Shortest-augmenting-path method with dual potentials (the Hungarian
     method in its O(n^3) form), run in exact integer arithmetic. Returns
-    None when the finite cells admit no perfect matching (the tropical
-    determinant is then ε).
+    (cost, match) with match[j] the row matched to column j, both counted
+    from 1 (match[0] is unused), or None when the finite cells admit no
+    perfect matching (the tropical determinant is then ε).
     """
     n = len(rows)
     u = [0] * (n + 1)
@@ -143,13 +164,14 @@ def _assignment_cost(rows: list[list[int | None]]) -> int | None:
             j1 = way[j0]
             match[j0] = match[j1]
             j0 = j1
-    return sum(rows[match[j] - 1][j - 1] for j in range(1, n + 1))
+    return sum(rows[match[j] - 1][j - 1] for j in range(1, n + 1)), match
 
 
 def tropdet_assignment(a: MinPlusMatrix) -> MinPlusValue:
     """Tropical determinant via minimum-cost assignment; no size cap."""
     rows, d = _int_rows(a)
-    return _unscale(_assignment_cost(rows), d)
+    solved = _assignment(rows)
+    return _unscale(None if solved is None else solved[0], d)
 
 
 def charpoly_tropdet(a: MinPlusMatrix, cap: int = SUBSET_CAP) -> MinPlusPolynomial:
@@ -170,11 +192,57 @@ def charpoly_tropdet(a: MinPlusMatrix, cap: int = SUBSET_CAP) -> MinPlusPolynomi
         best: int | None = None
         for subset in combinations(range(n), j):
             minor = [[rows[r][c] for c in subset] for r in subset]
-            cost = _assignment_cost(minor)
-            if cost is not None and (best is None or cost < best):
-                best = cost
+            solved = _assignment(minor)
+            if solved is not None and (best is None or solved[0] < best):
+                best = solved[0]
         coeffs.append(_unscale(best, d))
     return MinPlusPolynomial(tuple(coeffs))
+
+
+def canonical_charpoly_tropdet(a: MinPlusMatrix) -> MinPlusPolynomial:
+    """canonicalize(charpoly_tropdet(a)), from at most 2n+1 assignment solves.
+
+    Eisner–Severance probing of f(x) = tropdet(A ⊕ x⊗I) (see the module
+    docstring): each probe at X = p/q, in D-scaled units, solves the
+    assignment problem on q·A with min(q·a_ii, p) on the diagonal. If k
+    matched diagonal cells took x, the optimal matching is the supporting
+    line c_j + (n-j)·x with j = n-k and c_j = (cost - k·p)/q. The first
+    probe, beyond every breakpoint, finds the largest coverable j; then
+    each probe at the meeting point of two hull lines either finds a point
+    strictly below both (a new corner: search both sides) or confirms the
+    meeting point as a breakpoint. No size cap applies.
+    """
+    n = a.n
+    rows, d = _int_rows(a)
+
+    def probe(p: int, q: int) -> tuple[int, int, int]:
+        """(q·f(p/q), j, c_j) for a supporting line of f at p/q."""
+        scaled = [[None if w is None else q * w for w in row] for row in rows]
+        took_x = []
+        for i, row in enumerate(scaled):
+            if row[i] is None or row[i] > p:
+                row[i] = p
+                took_x.append(i)
+        cost, match = _assignment(scaled)  # the x diagonal always admits a matching
+        k = sum(match[i + 1] == i + 1 for i in took_x)
+        return cost, n - k, (cost - k * p) // q
+
+    # past X the lines' x-terms outweigh any coefficient gap, |c_j - c_i| <= 2n·max|a|
+    reach = 2 * n * max((abs(w) for row in rows for w in row if w is not None), default=0) + 1
+    _, r, c_r = probe(reach, 1)
+    points = {0: 0, r: c_r}
+    pending = [(0, r)] if r else []
+    while pending:
+        i, k = pending.pop()
+        p, q = points[k] - points[i], k - i  # the lines of i and k meet at p/q
+        cost, j, c_j = probe(p, q)
+        if cost < q * points[i] + (n - i) * p:
+            points[j] = c_j
+            pending += [(i, j), (j, k)]
+    coeffs = [EPSILON] * (n + 1)
+    for j, c in points.items():
+        coeffs[j] = _unscale(c, d)
+    return canonicalize(MinPlusPolynomial(coeffs))
 
 
 def _closed_walk_minima(rows: list[list[int | None]]) -> list[int | None]:

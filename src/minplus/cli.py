@@ -20,6 +20,7 @@ import sys
 from .charpoly import (
     BRUTE_FORCE_CAP,
     SUBSET_CAP,
+    canonical_charpoly_tropdet,
     charpoly_flv,
     charpoly_tropdet,
     eigenvalue_from_charpoly,
@@ -65,7 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap-perms", type=_positive_int, default=BRUTE_FORCE_CAP,
                        help="order cap for the permutation brute force")
         p.add_argument("--cap-subsets", type=_positive_int, default=SUBSET_CAP,
-                       help="order cap for principal-minor enumeration")
+                       help="order cap for the principal-minor scan of charpoly and verify "
+                            "(factor, roots, plot-data and eigenvalue read the hull by "
+                            "parametric assignment, with no cap)")
         p.add_argument("--cap-circuits", type=_positive_int, default=CIRCUIT_CAP,
                        help="cap on the number of enumerated circuits")
         if needs_input:
@@ -146,7 +149,7 @@ def _polynomial_from_input(args) -> MinPlusPolynomial:
         return obj
     if args.method == "flv":
         return charpoly_flv(obj)
-    return charpoly_tropdet(obj, cap=args.cap_subsets)
+    return canonical_charpoly_tropdet(obj)
 
 
 def _emit_json(obj) -> None:
@@ -206,7 +209,7 @@ def cmd_eigenvalue(args) -> int:
         if method == "karp":
             values[method] = min_cycle_mean(network_from_matrix(matrix))
         elif method == "tropdet":
-            values[method] = eigenvalue_from_charpoly(charpoly_tropdet(matrix, cap=args.cap_subsets))
+            values[method] = eigenvalue_from_charpoly(canonical_charpoly_tropdet(matrix))
         else:
             values[method] = eigenvalue_from_charpoly(charpoly_flv(matrix))
     agree = len({str(v) for v in values.values()}) == 1

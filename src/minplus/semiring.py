@@ -8,6 +8,7 @@ sentinel, because sentinel arithmetic breaks the absorbing law a ⊗ ε = ε.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from numbers import Rational
 
@@ -28,6 +29,9 @@ __all__ = [
 
 _EPSILON_TOKENS = {"inf", "+inf", "infinity", "eps", "epsilon", "ε"}
 _EXPONENT_LIMIT = 4300
+# Python applies its int-to-string digit limit, at least 640, only past 640 digits;
+# 1920 bits make at most 578 digits
+_ALWAYS_PRINTABLE_BITS = 1920
 
 
 class MinPlusValue:
@@ -110,8 +114,11 @@ class MinPlusValue:
         if self._q is None:
             return "inf"
         if self._q.denominator == 1:
-            return int(self._q)
-        return str(self._q)
+            n = self._q.numerator
+            if n.bit_length() > _ALWAYS_PRINTABLE_BITS:
+                format_rational(self._q)  # json.dumps converts n later: raise the named error here
+            return n
+        return format_rational(self._q)
 
 
 def _parse_token(token: str) -> Fraction | None:
@@ -148,10 +155,20 @@ def parse_value(text: str) -> MinPlusValue:
 
 
 def format_rational(q: Fraction) -> str:
-    """Render a Fraction as "p/q", or plain integer when the denominator is 1."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """Render a Fraction as "p/q", or plain integer when the denominator is 1.
+
+    Raises ValueError naming the limit when a part has more digits than
+    Python converts to text (sys.get_int_max_str_digits()).
+    """
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise ValueError(
+            f"a value has more than {sys.get_int_max_str_digits()} digits, "
+            "Python's int-to-string digit limit, and cannot be printed"
+        ) from None
 
 
 def oplus(a, b) -> MinPlusValue:

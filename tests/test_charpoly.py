@@ -9,6 +9,7 @@ from minplus import (
     E,
     MinPlusMatrix,
     MinPlusValue,
+    canonical_charpoly_tropdet,
     charpoly_flv,
     charpoly_tropdet,
     eigenvalue_from_charpoly,
@@ -67,6 +68,13 @@ def test_tropdet_oracle_agreement_random():
 def test_charpoly_tropdet_golden(example7):
     poly = charpoly_tropdet(example7)
     assert [c.to_json() for c in poly.coeffs] == [0, 3, 8, 6, 20, "inf", "inf", "inf"]
+
+
+def test_canonical_charpoly_tropdet_golden(example7):
+    # the hull of (j, c_j) for the coefficients above: c_1 = 3 and c_2 = 8 lie off it
+    poly = canonical_charpoly_tropdet(example7)
+    assert [c.to_json() for c in poly.coeffs] == [0, 2, 4, 6, 20, "inf", "inf", "inf"]
+    assert canonical_charpoly_tropdet(identity(4)).coeffs == (E,) * 5
 
 
 def test_charpoly_flv_golden(example7):

@@ -2,12 +2,14 @@
 
 The kernels in ``minplus.charpoly`` run on LCM-scaled ints; these tests
 compare them with oracles written on the public min-plus value and matrix
-operations, and check metamorphic identities of both polynomials on
-ε-heavy matrices with mixed denominators.
+operations, compare the parametric-assignment hull with the canonical
+form of the subset scan, and check metamorphic identities of both
+polynomials on ε-heavy matrices with mixed denominators.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from unittest import mock
 
 import pytest
 
@@ -19,6 +21,8 @@ from minplus import (
     E,
     MinPlusMatrix,
     MinPlusValue,
+    canonical_charpoly_tropdet,
+    canonicalize,
     charpoly_flv,
     charpoly_tropdet,
     epsilon_matrix,
@@ -30,13 +34,16 @@ from minplus import (
     tropdet_assignment,
     tropdet_bruteforce,
 )
+from minplus import charpoly as charpoly_module
 
 # Denominators 1..13 make the scaling factor D (their LCM) as large as 360360.
 ENTRIES = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 13))
+# Few distinct small values: many principal minors tie, so many points (j, c_j) are collinear.
+TIED_ENTRIES = st.builds(Fraction, st.integers(-2, 2))
 
 
 @st.composite
-def matrices(draw, max_n):
+def matrices(draw, max_n, entries=ENTRIES):
     """A random matrix whose share of ε entries is itself drawn, from none to all."""
     n = draw(st.integers(1, max_n))
     finite_tenths = draw(st.integers(0, 10))
@@ -45,7 +52,7 @@ def matrices(draw, max_n):
         row = []
         for _ in range(n):
             finite = draw(st.integers(0, 9)) < finite_tenths
-            row.append(draw(ENTRIES) if finite else None)
+            row.append(draw(entries) if finite else None)
         rows.append(row)
     return MinPlusMatrix(rows)
 
@@ -80,6 +87,33 @@ def tropdet_charpoly_by_definition(a):
     for j in range(1, a.n + 1):
         coeffs.append(min(tropdet_by_definition(a, s) for s in combinations(range(a.n), j)))
     return tuple(coeffs)
+
+
+@st.composite
+def uncoverable_matrices(draw, max_n):
+    """A random matrix with an all-ε row: no cycle family covers every vertex, so x^r has r > 0."""
+    a = draw(matrices(max_n))
+    blank = draw(st.integers(0, a.n - 1))
+    return MinPlusMatrix([[None if i == blank else x for x in row] for i, row in enumerate(a.rows)])
+
+
+def hull_by_scan(a):
+    return canonicalize(charpoly_tropdet(a))
+
+
+def hull_by_probes(a):
+    """canonical_charpoly_tropdet(a), failing as soon as it needs more than 2n+1 assignment solves."""
+    solve = charpoly_module._assignment
+    calls = 0
+
+    def counted(rows):
+        nonlocal calls
+        calls += 1
+        assert calls <= 2 * a.n + 1, "more than 2n+1 probes"
+        return solve(rows)
+
+    with mock.patch.object(charpoly_module, "_assignment", counted):
+        return canonical_charpoly_tropdet(a)
 
 
 def both(a):
@@ -120,11 +154,32 @@ def test_assignment_matches_bruteforce(a):
     assert tropdet_assignment(a) == tropdet_bruteforce(a)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrices(max_n=9), matrices(max_n=9, entries=TIED_ENTRIES), uncoverable_matrices(max_n=9)))
+def test_parametric_hull_matches_canonical_subset_scan(a):
+    assert hull_by_probes(a) == hull_by_scan(a)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_parametric_hull_start_probe_reaches_the_full_cover(n):
+    # an n-cycle of +60 and loops of -60 on all but one of its vertices: c_{n-1} = -60(n-1)
+    # and c_n = 60n, so only a probe past x = 60(2n-1) finds the full cover
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][(i + 1) % n] = 60
+    for i in range(n - 1):
+        rows[i][i] = -60
+    a = MinPlusMatrix(rows)
+    assert hull_by_probes(a) == hull_by_scan(a)
+    assert hull_by_probes(a).coeffs[n] == MinPlusValue(60 * n)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_all_epsilon_matrix(n):
     a = epsilon_matrix(n)
     expected = (E,) + (EPSILON,) * n
     assert both(a) == (expected, expected)
+    assert hull_by_probes(a).coeffs == expected
     assert tropdet_assignment(a) == EPSILON == tropdet_bruteforce(a)
 
 
@@ -133,6 +188,7 @@ def test_one_by_one_matrix(entry):
     a = MinPlusMatrix([[entry]])
     expected = (E, MinPlusValue(entry))
     assert both(a) == (expected, expected)
+    assert hull_by_probes(a).coeffs == expected
     assert tropdet_assignment(a) == MinPlusValue(entry) == tropdet_bruteforce(a)
 
 

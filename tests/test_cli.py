@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from minplus import MinPlusValue, plant_separated_instance
 from minplus.cli import main
 from conftest import EXAMPLE_7X7_TEXT
 
@@ -226,6 +227,74 @@ def test_cap_exceeded_exit_code(run, example_file):
     code, _, err = run("charpoly", "--cap-subsets", "3", example_file)
     assert code == 3
     assert "capped" in err
+
+
+def test_hull_commands_take_no_subset_cap(run, example_file):
+    # the principal-minor scan (and its cap) is for charpoly and verify only
+    commands = [
+        ("factor",),
+        ("factor", "--format", "json"),
+        ("roots",),
+        ("roots", "--format", "json"),
+        ("plot-data",),
+        ("plot-data", "--format", "json"),
+        ("plot-data", "--format", "tsv"),
+        ("eigenvalue",),
+        ("eigenvalue", "--format", "json"),
+        ("eigenvalue", "--method", "tropdet"),
+    ]
+    for command in commands:
+        expected = run(*command, example_file)
+        assert expected[0] == 0
+        assert run(*command, "--cap-subsets", "3", example_file) == expected
+
+
+def test_hull_commands_above_order_16(run, tmp_path):
+    # three planted cycles (lengths 11, 2, 6) and five circuit-free vertices
+    matrix, planted = plant_separated_instance(random.Random(6), 24)
+    path = tmp_path / "planted24.json"
+    path.write_text(json.dumps(matrix.to_json()))
+    multiplicity = {}
+    for cycle, weights in planted:
+        mean = sum(weights) / len(cycle)
+        multiplicity[mean] = multiplicity.get(mean, 0) + len(cycle)
+    roots = sorted(multiplicity)
+    xpower = 24 - sum(multiplicity.values())
+    assert len(roots) == 3 and xpower == 5
+    expected = {
+        "factors": [{"root": MinPlusValue(r).to_json(), "multiplicity": multiplicity[r]} for r in roots],
+        "xpower": xpower,
+    }
+
+    for command in ("factor", "roots"):
+        code, out, _ = run(command, "--format", "json", str(path))
+        assert code == 0
+        assert json.loads(out) == expected
+
+    code, out, _ = run("plot-data", "--format", "json", str(path))
+    assert code == 0
+    breaks = [row for row in json.loads(out) if row["kind"] == "breakpoint"]
+    assert [row["x"] for row in breaks] == [factor["root"] for factor in expected["factors"]]
+    assert breaks[-1]["slope_right"] == xpower
+
+    code, out, _ = run("eigenvalue", "--method", "all", "--format", "json", str(path))
+    assert code == 0
+    least = expected["factors"][0]["root"]
+    assert json.loads(out) == {"karp": least, "tropdet": least, "flv": least, "agree": True}
+
+
+def test_values_past_the_digit_limit_exit_2(run, tmp_path):
+    # 10^4300 has 4301 digits, as does 9·10^4299 + 9·10^4299, the order-2 coefficient below
+    loop = tmp_path / "loop.txt"
+    loop.write_text("1e4300\n")
+    two_loops = tmp_path / "two_loops.txt"
+    two_loops.write_text("9e4299 inf\ninf 9e4299\n")
+    for argv in (("eigenvalue", str(loop)), ("charpoly", str(two_loops))):
+        for fmt in ("text", "json"):
+            code, out, err = run(*argv, "--format", fmt)
+            assert (code, out) == (2, "")
+            assert "4300 digits" in err
+            assert "sys.set_int_max_str_digits" not in err
 
 
 def test_verify_honours_its_caps(run, example_file):
