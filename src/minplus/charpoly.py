@@ -35,23 +35,23 @@ The tropical determinant itself comes in two independent implementations,
 a permutation brute force and a minimum-cost assignment solver, so each
 can serve as the other's oracle.
 
-All inner loops run on Python ints, with None for ε: a matrix is scaled
-once by the least common multiple D of its entries' denominators, and
-each result is divided back exactly as Fraction(total, D). Every step is
-a sum, a difference or a minimum, so scaling by D > 0 commutes with it and
-the results are the same exact rationals as a computation on Fractions.
+All inner loops run on Python ints, with None for ε: they read the
+matrix's own scaled int form (its entries times the least common multiple
+D of their denominators, built once when the matrix is), and each result
+is divided back exactly by D. Every step is a sum, a difference or a
+minimum, so scaling by D > 0 commutes with it and the results are the same
+exact rationals as a computation on Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import lcm
 
 from .errors import CapExceeded
 from .matrix import MinPlusMatrix
 from .polynomial import MinPlusPolynomial, canonicalize
-from .semiring import EPSILON, E, MinPlusValue
+from .semiring import EPSILON, MinPlusValue, _unscaled
 
 __all__ = [
     "BRUTE_FORCE_CAP",
@@ -68,26 +68,6 @@ BRUTE_FORCE_CAP = 9
 SUBSET_CAP = 16
 
 
-def _int_rows(a: MinPlusMatrix) -> tuple[list[list[int | None]], int]:
-    """The entries times D as ints, None for ε, and D itself.
-
-    D is the least common multiple of the finite entries' denominators
-    (1 when there are none), so every scaled entry is an integer.
-    """
-    finite = [x.rational for row in a.rows for x in row if not x.is_epsilon]
-    d = lcm(*(q.denominator for q in finite)) if finite else 1
-    rows = [
-        [None if x.is_epsilon else x.rational.numerator * (d // x.rational.denominator) for x in row]
-        for row in a.rows
-    ]
-    return rows, d
-
-
-def _unscale(total: int | None, d: int) -> MinPlusValue:
-    """A scaled kernel result as a min-plus value: total / d, or ε for None."""
-    return EPSILON if total is None else MinPlusValue(Fraction(total, d))
-
-
 def tropdet_bruteforce(a: MinPlusMatrix, cap: int = BRUTE_FORCE_CAP) -> MinPlusValue:
     """Minimum over all n! permutations of the selected entry sum."""
     n = a.n
@@ -96,7 +76,7 @@ def tropdet_bruteforce(a: MinPlusMatrix, cap: int = BRUTE_FORCE_CAP) -> MinPlusV
             f"brute-force tropical determinant is capped at order {cap} "
             f"(got {n}); use tropdet_assignment instead"
         )
-    rows, d = _int_rows(a)
+    rows = a._ints
     best: int | None = None
     for sigma in permutations(range(n)):
         total = 0
@@ -108,10 +88,10 @@ def tropdet_bruteforce(a: MinPlusMatrix, cap: int = BRUTE_FORCE_CAP) -> MinPlusV
         else:
             if best is None or total < best:
                 best = total
-    return _unscale(best, d)
+    return _unscaled(best, a._d)
 
 
-def _assignment(rows: list[list[int | None]]) -> tuple[int, list[int]] | None:
+def _assignment(rows) -> tuple[int, list[int]] | None:
     """Minimum-cost perfect assignment with None as a forbidden cell.
 
     Shortest-augmenting-path method with dual potentials (the Hungarian
@@ -169,9 +149,8 @@ def _assignment(rows: list[list[int | None]]) -> tuple[int, list[int]] | None:
 
 def tropdet_assignment(a: MinPlusMatrix) -> MinPlusValue:
     """Tropical determinant via minimum-cost assignment; no size cap."""
-    rows, d = _int_rows(a)
-    solved = _assignment(rows)
-    return _unscale(None if solved is None else solved[0], d)
+    solved = _assignment(a._ints)
+    return _unscaled(None if solved is None else solved[0], a._d)
 
 
 def charpoly_tropdet(a: MinPlusMatrix, cap: int = SUBSET_CAP) -> MinPlusPolynomial:
@@ -186,8 +165,8 @@ def charpoly_tropdet(a: MinPlusMatrix, cap: int = SUBSET_CAP) -> MinPlusPolynomi
         raise CapExceeded(
             f"principal-minor enumeration is capped at order {cap} (got {n})"
         )
-    rows, d = _int_rows(a)
-    coeffs: list[MinPlusValue] = [E]
+    rows = a._ints
+    coeffs: list[int | None] = [0]
     for j in range(1, n + 1):
         best: int | None = None
         for subset in combinations(range(n), j):
@@ -195,8 +174,8 @@ def charpoly_tropdet(a: MinPlusMatrix, cap: int = SUBSET_CAP) -> MinPlusPolynomi
             solved = _assignment(minor)
             if solved is not None and (best is None or solved[0] < best):
                 best = solved[0]
-        coeffs.append(_unscale(best, d))
-    return MinPlusPolynomial(tuple(coeffs))
+        coeffs.append(best)
+    return MinPlusPolynomial._from_scaled(tuple(coeffs), a._d)
 
 
 def canonical_charpoly_tropdet(a: MinPlusMatrix) -> MinPlusPolynomial:
@@ -213,7 +192,7 @@ def canonical_charpoly_tropdet(a: MinPlusMatrix) -> MinPlusPolynomial:
     meeting point as a breakpoint. No size cap applies.
     """
     n = a.n
-    rows, d = _int_rows(a)
+    rows = a._ints
 
     def probe(p: int, q: int) -> tuple[int, int, int]:
         """(q·f(p/q), j, c_j) for a supporting line of f at p/q."""
@@ -239,13 +218,11 @@ def canonical_charpoly_tropdet(a: MinPlusMatrix) -> MinPlusPolynomial:
         if cost < q * points[i] + (n - i) * p:
             points[j] = c_j
             pending += [(i, j), (j, k)]
-    coeffs = [EPSILON] * (n + 1)
-    for j, c in points.items():
-        coeffs[j] = _unscale(c, d)
-    return canonicalize(MinPlusPolynomial(coeffs))
+    coeffs = tuple(points.get(j) for j in range(n + 1))
+    return canonicalize(MinPlusPolynomial._from_scaled(coeffs, a._d))
 
 
-def _closed_walk_minima(rows: list[list[int | None]]) -> list[int | None]:
+def _closed_walk_minima(rows) -> list[int | None]:
     """t_k = Tr(A^k) for k = 1..n: the least weight of a closed k-walk.
 
     Index 0 holds None (unused). Each power is one min-plus product
@@ -284,8 +261,7 @@ def charpoly_flv(a: MinPlusMatrix) -> MinPlusPolynomial:
     c_k = t_k ⊕ c_1⊗t_{k-1} ⊕ ... ⊕ c_{k-1}⊗t_1, i.e.
     c_k = min(t_k, min_{0<l<k} c_l + t_{k-l}), computed here on ints.
     """
-    rows, d = _int_rows(a)
-    t = _closed_walk_minima(rows)
+    t = _closed_walk_minima(a._ints)
     c: list[int | None] = [0]
     for k in range(1, a.n + 1):
         best = t[k]
@@ -295,7 +271,7 @@ def charpoly_flv(a: MinPlusMatrix) -> MinPlusPolynomial:
                 if best is None or s < best:
                     best = s
         c.append(best)
-    return MinPlusPolynomial([_unscale(x, d) for x in c])
+    return MinPlusPolynomial._from_scaled(tuple(c), a._d)
 
 
 def eigenvalue_from_charpoly(p: MinPlusPolynomial) -> MinPlusValue:
@@ -307,11 +283,10 @@ def eigenvalue_from_charpoly(p: MinPlusPolynomial) -> MinPlusValue:
     """
     if not p.is_monic:
         raise ValueError("polynomial must be monic (leading coefficient 0)")
-    best: Fraction | None = None
-    for j, c in enumerate(p.coeffs):
-        if j == 0 or c.is_epsilon:
+    best: tuple[int, int] | None = None  # (c_j·D, j): the ratio c_j·D / j, compared cross-multiplied
+    for j, c in enumerate(p._ints):
+        if j == 0 or c is None:
             continue
-        candidate = c.rational / j
-        if best is None or candidate < best:
-            best = candidate
-    return EPSILON if best is None else MinPlusValue(best)
+        if best is None or c * best[1] < best[0] * j:
+            best = (c, j)
+    return EPSILON if best is None else MinPlusValue(Fraction(best[0], best[1] * p._d))

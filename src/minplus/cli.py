@@ -25,8 +25,8 @@ from .charpoly import (
     charpoly_tropdet,
     eigenvalue_from_charpoly,
 )
-from .errors import CapExceeded, ParseError
-from .matrix import MinPlusMatrix, parse_matrix
+from .errors import CapExceeded, ParseError, decode_json
+from .matrix import MinPlusMatrix, _matrix_from_json, parse_matrix
 from .network import (
     CIRCUIT_CAP,
     enumerate_circuits,
@@ -130,17 +130,15 @@ def _load_matrix(path: str) -> MinPlusMatrix:
 
 
 def _load_matrix_or_polynomial(path: str):
-    """Returns ("matrix", m) or ("polynomial", p), sniffing JSON fields."""
+    """Returns ("matrix", m) or ("polynomial", p), sniffing JSON fields;
+    a JSON file is decoded once."""
     text = _read_file(path)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
-        if isinstance(obj, dict) and "coeffs" in obj:
-            return "polynomial", _polynomial_from_json(obj)
-    return "matrix", parse_matrix(text)
+    if not text.lstrip().startswith("{"):
+        return "matrix", parse_matrix(text)
+    obj = decode_json(text)
+    if isinstance(obj, dict) and "coeffs" in obj:
+        return "polynomial", _polynomial_from_json(obj)
+    return "matrix", _matrix_from_json(obj)
 
 
 def _polynomial_from_input(args) -> MinPlusPolynomial:

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the JSON decoding that raises them."""
+
+import json
 
 
 class MinPlusError(Exception):
@@ -27,3 +29,13 @@ class ParseError(MinPlusError, ValueError):
         super().__init__(message)
         self.line = line
         self.column = column
+
+
+def decode_json(text: str):
+    """json.loads, with malformed or too deeply nested input as a ParseError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None

@@ -21,7 +21,7 @@ from math import lcm
 
 from .charpoly import charpoly_flv, charpoly_tropdet, tropdet_assignment, tropdet_bruteforce
 from .errors import CapExceeded
-from .matrix import MinPlusMatrix, epsilon_matrix
+from .matrix import MinPlusMatrix
 from .polynomial import Factorization, MinPlusPolynomial, canonicalize, factorize, is_equivalent
 from .semiring import EPSILON, MinPlusValue
 
@@ -170,22 +170,30 @@ class Report:
 
 
 def network_from_matrix(a: MinPlusMatrix) -> Network:
-    """One edge (i, j, a_ij) per finite entry."""
-    edges = []
-    for i in range(a.n):
-        for j in range(a.n):
-            x = a.rows[i][j]
-            if not x.is_epsilon:
-                edges.append((i + 1, j + 1, x.rational))
-    return Network(m=a.n, edges=tuple(edges))
+    """One edge (i, j, a_ij) per finite entry, read off the scaled ints."""
+    d = a._d
+    edges = tuple(
+        (i, j, Fraction(w, d))
+        for i, row in enumerate(a._ints, start=1)
+        for j, w in enumerate(row, start=1)
+        if w is not None
+    )
+    return Network(m=a.n, edges=edges)
 
 
 def matrix_from_network(net: Network) -> MinPlusMatrix:
     """Weighted adjacency matrix; inverse of network_from_matrix."""
-    rows = [list(row) for row in epsilon_matrix(net.m).rows]
+    rows: list[list[Fraction | None]] = [[None] * net.m for _ in range(net.m)]
     for tail, head, weight in net.edges:
-        rows[tail - 1][head - 1] = MinPlusValue(weight)
-    return MinPlusMatrix(tuple(tuple(row) for row in rows))
+        rows[tail - 1][head - 1] = weight
+    return MinPlusMatrix(rows)
+
+
+def _int_weights(edges) -> tuple[list[tuple[int, int, int]], int]:
+    """The edges with each weight times D as an int, and D, the least common
+    multiple of the weights' denominators (1 with no edge)."""
+    d = lcm(*{w.denominator for _, _, w in edges})
+    return [(t, h, w.numerator * (d // w.denominator)) for t, h, w in edges], d
 
 
 def _strongly_connected_components(succ: dict[int, list[tuple[int, Fraction]]]) -> list[list[int]]:
@@ -296,7 +304,8 @@ def enumerate_circuits(net: Network, cap: int = CIRCUIT_CAP) -> list[Circuit]:
     from its smallest vertex, so it comes out already in canonical
     rotation. Results are sorted by (length, vertex sequence).
     """
-    weight_of = {(t, h): w for t, h, w in net.edges}
+    scaled, d = _int_weights(net.edges)
+    weight_of = {(t, h): w for t, h, w in scaled}
     adj = net.successors()
     circuits: list[Circuit] = []
     pending = [adj]
@@ -306,8 +315,8 @@ def enumerate_circuits(net: Network, cap: int = CIRCUIT_CAP) -> list[Circuit]:
             inside = set(component)
             succ = {v: [(h, w) for h, w in adj[v] if h in inside] for v in component}
             for cycle in _circuits_through(start, succ):
-                total = sum((weight_of[edge] for edge in zip(cycle, cycle[1:] + cycle[:1])), Fraction(0))
-                circuits.append(Circuit(vertices=cycle, weight=total))
+                total = sum(weight_of[edge] for edge in zip(cycle, cycle[1:] + cycle[:1]))
+                circuits.append(Circuit(vertices=cycle, weight=Fraction(total, d)))
                 if len(circuits) > cap:
                     raise CapExceeded(
                         f"circuit enumeration exceeded the cap of {cap}",
@@ -329,13 +338,19 @@ def _karp_component(edges: list[tuple[int, int, Fraction]]) -> Fraction:
 
         lambda = min over v with D_n(v) finite of
                  max over k < n with D_k(v) finite of (D_n(v) - D_k(v)) / (n - k).
+
+    The walks run on the weights scaled to ints by the LCM of their
+    denominators, and the ratios are compared cross-multiplied (the
+    denominators n - k are positive), so the one Fraction built is the
+    result.
     """
     order = sorted({t for t, _, _ in edges})
     pos = {v: i for i, v in enumerate(order)}
     n = len(order)
-    table: list[list[Fraction | None]] = [[None] * n for _ in range(n + 1)]
-    table[0][0] = Fraction(0)
-    local_edges = [(pos[t], pos[h], w) for t, h, w in edges]
+    scaled, d = _int_weights(edges)
+    table: list[list[int | None]] = [[None] * n for _ in range(n + 1)]
+    table[0][0] = 0
+    local_edges = [(pos[t], pos[h], w) for t, h, w in scaled]
     for k in range(1, n + 1):
         prev = table[k - 1]
         cur = table[k]
@@ -346,24 +361,23 @@ def _karp_component(edges: list[tuple[int, int, Fraction]]) -> Fraction:
             cand = dt + w
             if cur[h] is None or cand < cur[h]:
                 cur[h] = cand
-    best: Fraction | None = None
+    best: tuple[int, int] | None = None  # a ratio as (numerator, positive denominator)
     for i in range(n):
         dn = table[n][i]
         if dn is None:
             continue
-        worst: Fraction | None = None
+        worst: tuple[int, int] | None = None
         for k in range(n):
             dk = table[k][i]
             if dk is None:
                 continue
-            ratio = Fraction(dn - dk, n - k)
-            if worst is None or ratio > worst:
-                worst = ratio
-        if best is None or worst < best:
+            if worst is None or (dn - dk) * worst[1] > worst[0] * (n - k):
+                worst = (dn - dk, n - k)
+        if best is None or worst[0] * best[1] < best[0] * worst[1]:
             best = worst
     if best is None:
         raise AssertionError("strongly connected component with an edge must contain a cycle")
-    return best
+    return Fraction(best[0], best[1] * d)
 
 
 def min_cycle_mean(net: Network) -> MinPlusValue:
@@ -429,12 +443,12 @@ def _family_minima(net: Network) -> dict[int, Fraction]:
     and closed[S] is the least weight of a family covering exactly S. Each
     step goes to a larger mask, so one ascending pass takes O(2^n · m).
     """
-    d = lcm(*(w.denominator for _, _, w in net.edges))
+    scaled, d = _int_weights(net.edges)
     out: list[list[tuple[int, int]]] = [[] for _ in range(net.m)]
     into: list[dict[int, int]] = [{} for _ in range(net.m)]
-    for tail, head, weight in net.edges:
-        out[tail - 1].append((head - 1, int(weight * d)))
-        into[head - 1][tail - 1] = int(weight * d)
+    for tail, head, weight in scaled:
+        out[tail - 1].append((head - 1, weight))
+        into[head - 1][tail - 1] = weight
     paths: dict[int, dict[int, int]] = {1 << u: {u: 0} for u in range(net.m)}
     minima: dict[int, int] = {}
     for s in range(1, 1 << net.m):

@@ -11,22 +11,30 @@ coefficient sequence by its lower convex hull over the points (j, c_j),
 which preserves the function exactly and makes the successive coefficient
 differences non-decreasing, the precise condition under which the
 polynomial splits into linear factors (x ⊕ root) times a power of x.
+
+Like a matrix, a polynomial is stored once in the scaled int form: each
+coefficient times D as an int, None for ε, with D the least common
+multiple of the reduced denominators of the finite coefficients. The
+lower hull runs on those ints; the coefficients as min-plus values
+(``coeffs``) are built only when asked for.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .errors import ParseError
+from .errors import ParseError, decode_json
 from .semiring import (
-    EPSILON,
     E,
     MinPlusValue,
+    _common_denominator,
+    _memo_rational,
+    _rational,
+    _scaled,
+    _unscaled,
     as_value,
-    parse_value,
 )
 
 __all__ = [
@@ -45,41 +53,59 @@ __all__ = [
 
 
 class MinPlusPolynomial:
-    """Coefficient sequence c_0..c_n of a degree-n min-plus polynomial."""
+    """Coefficient sequence c_0..c_n of a degree-n min-plus polynomial,
+    held as (ints, D)."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_ints", "_d", "_coeffs")
 
     def __init__(self, coeffs):
-        converted = tuple(as_value(c) for c in coeffs)
-        if not converted:
+        values = tuple(_rational(c) for c in coeffs)
+        if not values:
             raise ValueError("a polynomial needs at least one coefficient")
-        self._coeffs = converted
+        d = _common_denominator(values)
+        self._ints = tuple(_scaled(q, d) for q in values)
+        self._d = d
+        self._coeffs = None
+
+    @classmethod
+    def _from_scaled(cls, ints, d: int) -> "MinPlusPolynomial":
+        """The polynomial with coefficients ints / d, from a non-empty
+        tuple of ints and None, with nothing coerced; d and the ints are
+        divided by their common factor, so D is canonical."""
+        g = gcd(d, *filter(None, ints)) if d > 1 else 1
+        if g > 1:
+            ints = tuple(None if w is None else w // g for w in ints)
+        poly = object.__new__(cls)
+        poly._ints, poly._d, poly._coeffs = ints, d // g, None
+        return poly
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._ints) - 1
 
     @property
     def coeffs(self) -> tuple[MinPlusValue, ...]:
+        if self._coeffs is None:
+            self._coeffs = tuple(_unscaled(w, self._d) for w in self._ints)
         return self._coeffs
 
     @property
     def is_monic(self) -> bool:
-        return self._coeffs[0] == E
+        return self._ints[0] == 0
 
     def __eq__(self, other):
         if not isinstance(other, MinPlusPolynomial):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._d == other._d and self._ints == other._ints
 
     def __hash__(self):
-        return hash(self._coeffs)
+        return hash((self._d, self._ints))
 
     def __repr__(self):
-        return f"MinPlusPolynomial({[str(c) for c in self._coeffs]})"
+        return f"MinPlusPolynomial({[str(c) for c in self.coeffs]})"
 
     def to_json(self) -> dict:
-        return {"degree": self.degree, "coeffs": [c.to_json() for c in self._coeffs]}
+        return {"degree": self.degree, "coeffs": [c.to_json() for c in self.coeffs]}
 
 
 @dataclass(frozen=True)
@@ -121,18 +147,18 @@ class Factorization:
 def evaluate(p: MinPlusPolynomial, x) -> MinPlusValue:
     """Value of the piecewise-linear function at x, ε-aware.
 
-    One pass over the finite coefficients on Fractions, min of
-    c_j + (n-j)·x. At x = ε every term with a positive power of x is ε, so
-    the value is the constant coefficient c_n (x^0 = 0); with no finite
-    coefficient the value is ε.
+    One pass over the finite coefficients on ints, min of c_j + (n-j)·x
+    with x = a/b, all scaled by b·D. At x = ε every term with a positive
+    power of x is ε, so the value is the constant coefficient c_n (x^0 =
+    0); with no finite coefficient the value is ε.
     """
-    x = as_value(x)
-    n = p.degree
-    if x.is_epsilon:
-        return p.coeffs[n]
-    q = x.rational
-    terms = [c.rational + (n - j) * q for j, c in enumerate(p.coeffs) if not c.is_epsilon]
-    return MinPlusValue(min(terms)) if terms else EPSILON
+    x = _rational(x)
+    n, d = p.degree, p._d
+    if x is None:
+        return _unscaled(p._ints[n], d)
+    a, b = x.numerator * d, x.denominator
+    terms = [c * b + (n - j) * a for j, c in enumerate(p._ints) if c is not None]
+    return _unscaled(min(terms, default=None), b * d)
 
 
 def _require_monic(p: MinPlusPolynomial):
@@ -140,31 +166,28 @@ def _require_monic(p: MinPlusPolynomial):
         raise ValueError("polynomial must be monic (leading coefficient 0)")
 
 
-def _hull_corners(coeffs) -> list[tuple[int, Fraction]]:
+def _hull_corners(p: MinPlusPolynomial) -> list[tuple[int, int]]:
     """Vertices of the lower convex hull of the finite points (j, c_j).
 
-    Andrew's monotone chain over the finite points in index order, O(n):
-    the coefficients are scaled once by the LCM D of their denominators,
-    so the chain runs on ints, and the last corner j (after i) is popped
-    while the new point k does not lie strictly above the line through i
-    and j, i.e. while (c_j - c_i)(k - j) >= (c_k - c_j)(j - i). Collinear
-    middle points are dropped, so segment slopes strictly increase. ε
-    coefficients are skipped; a trailing run of ε leaves the hull short of
-    index n, which callers read as an x^r factor. Corners are returned as
-    (j, c_j) with c_j divided back exactly by D.
+    Andrew's monotone chain over the finite points in index order, O(n),
+    on the scaled ints of p: the last corner j (after i) is popped while
+    the new point k does not lie strictly above the line through i and j,
+    i.e. while (c_j - c_i)(k - j) >= (c_k - c_j)(j - i). Collinear middle
+    points are dropped, so segment slopes strictly increase. ε coefficients
+    are skipped; a trailing run of ε leaves the hull short of index n,
+    which callers read as an x^r factor. Corners are (j, c_j·D).
     """
-    finite = [(j, c.rational) for j, c in enumerate(coeffs) if not c.is_epsilon]
-    scale = lcm(*(c.denominator for _, c in finite))
     hull: list[tuple[int, int]] = []
-    for k, c in finite:
-        ck = c.numerator * (scale // c.denominator)
+    for k, ck in enumerate(p._ints):
+        if ck is None:
+            continue
         while len(hull) > 1:
             (i, ci), (j, cj) = hull[-2], hull[-1]
             if (cj - ci) * (k - j) < (ck - cj) * (j - i):
                 break
             hull.pop()
         hull.append((k, ck))
-    return [(j, Fraction(c, scale)) for j, c in hull]
+    return hull
 
 
 def canonicalize(p: MinPlusPolynomial) -> MinPlusPolynomial:
@@ -175,22 +198,24 @@ def canonicalize(p: MinPlusPolynomial) -> MinPlusPolynomial:
     any trailing ε coefficients correspond to a factor x^r.
     """
     _require_monic(p)
-    n = p.degree
-    corners = _hull_corners(p.coeffs)
-    out: list[MinPlusValue] = [EPSILON] * (n + 1)
-    out[0] = E
-    for (i, ci), (k, ck) in zip(corners, corners[1:]):
-        slope = Fraction(ck - ci, k - i)
+    corners = _hull_corners(p)
+    segments = list(zip(corners, corners[1:]))
+    # c_l = c_i + (l - i)(c_k - c_i)/(k - i) on the segment from i to k: in units of 1/(span·D)
+    span = lcm(*(k - i for (i, _), (k, _) in segments))
+    out: list[int | None] = [None] * (p.degree + 1)
+    out[0] = 0
+    for (i, ci), (k, ck) in segments:
+        f = span // (k - i)
         for ell in range(i + 1, k + 1):
-            out[ell] = MinPlusValue(ci + (ell - i) * slope)
-    return MinPlusPolynomial(tuple(out))
+            out[ell] = (ci * (k - i) + (ell - i) * (ck - ci)) * f
+    return MinPlusPolynomial._from_scaled(tuple(out), span * p._d)
 
 
 def is_equivalent(p: MinPlusPolynomial, q: MinPlusPolynomial) -> bool:
     """Whether p and q are the same piecewise-linear function."""
     if p.degree != q.degree:
         return False
-    return canonicalize(p).coeffs == canonicalize(q).coeffs
+    return canonicalize(p) == canonicalize(q)
 
 
 def factorize(p: MinPlusPolynomial) -> Factorization:
@@ -201,14 +226,12 @@ def factorize(p: MinPlusPolynomial) -> Factorization:
     coefficients become the x^r factor.
     """
     _require_monic(p)
-    n = p.degree
-    corners = _hull_corners(p.coeffs)
-    factors = []
-    for (i, ci), (k, ck) in zip(corners, corners[1:]):
-        slope = Fraction(ck - ci, k - i)
-        factors.append((MinPlusValue(slope), k - i))
-    last_index = corners[-1][0]
-    return Factorization(factors=tuple(factors), xpower=n - last_index)
+    corners = _hull_corners(p)
+    factors = tuple(
+        (MinPlusValue(Fraction(ck - ci, (k - i) * p._d)), k - i)
+        for (i, ci), (k, ck) in zip(corners, corners[1:])
+    )
+    return Factorization(factors=factors, xpower=p.degree - corners[-1][0])
 
 
 def expand(f: Factorization) -> MinPlusPolynomial:
@@ -222,13 +245,13 @@ def expand(f: Factorization) -> MinPlusPolynomial:
     for root, mult in f.factors:
         roots.extend([root.rational] * mult)
     n = f.degree
-    coeffs: list[MinPlusValue] = [E]
+    coeffs: list[Fraction | None] = [Fraction(0)]
     total = Fraction(0)
     for r in roots:
         total += r
-        coeffs.append(MinPlusValue(total))
-    coeffs.extend([EPSILON] * (n - len(roots)))
-    return MinPlusPolynomial(tuple(coeffs))
+        coeffs.append(total)
+    coeffs.extend([None] * (n - len(roots)))
+    return MinPlusPolynomial(coeffs)
 
 
 def breakpoints(p: MinPlusPolynomial) -> list[tuple[Fraction, Fraction, int, int]]:
@@ -238,45 +261,42 @@ def breakpoints(p: MinPlusPolynomial) -> list[tuple[Fraction, Fraction, int, int
     adjacent linear pieces; a polynomial describing a single line has no
     breakpoints.
     """
-    n = p.degree
-    corners = _hull_corners(p.coeffs)
+    n, d = p.degree, p._d
+    corners = _hull_corners(p)
     points = []
     for (i, ci), (k, ck) in zip(corners, corners[1:]):
-        x = Fraction(ck - ci, k - i)
-        y = ci + (n - i) * x
+        # the lines of i and k meet at x = (c_k - c_i)/(k - i), y = c_i + (n - i)·x
+        x = Fraction(ck - ci, (k - i) * d)
+        y = Fraction(ci * (k - i) + (n - i) * (ck - ci), (k - i) * d)
         points.append((x, y, n - i, n - k))
     return points
 
 
 def parse_polynomial(text: str) -> MinPlusPolynomial:
     """Parse the JSON form {"degree": n, "coeffs": [c_0, ..., c_n]}."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
-    return _polynomial_from_json(obj)
+    return _polynomial_from_json(decode_json(text))
 
 
 def _polynomial_from_json(obj) -> MinPlusPolynomial:
-    """Validate a decoded polynomial JSON object and build the polynomial."""
+    """Validate a decoded polynomial JSON object and build the polynomial,
+    parsing each distinct coefficient cell once."""
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise ParseError('polynomial JSON must be an object with a "coeffs" field')
     raw = obj["coeffs"]
     if not isinstance(raw, list) or not raw:
         raise ParseError('"coeffs" must be a non-empty list')
-    coeffs = []
+    values: dict = {}
     for idx, cell in enumerate(raw):
         try:
-            if isinstance(cell, str):
-                coeffs.append(parse_value(cell))
-            else:
-                coeffs.append(as_value(cell))
+            _memo_rational(cell, values)
         except (ParseError, TypeError) as exc:
             raise ParseError(f"bad coefficient {cell!r} at index {idx}: {exc}") from exc
-    degree = obj.get("degree", len(coeffs) - 1)
-    if degree != len(coeffs) - 1:
-        raise ParseError(f'"degree" is {degree} but {len(coeffs)} coefficients were given')
-    return MinPlusPolynomial(tuple(coeffs))
+    degree = obj.get("degree", len(raw) - 1)
+    if degree != len(raw) - 1:
+        raise ParseError(f'"degree" is {degree} but {len(raw)} coefficients were given')
+    d = _common_denominator(values.values())
+    scaled = {cell: _scaled(q, d) for cell, q in values.items()}
+    return MinPlusPolynomial._from_scaled(tuple(map(scaled.__getitem__, raw)), d)
 
 
 def format_polynomial(p: MinPlusPolynomial) -> str:

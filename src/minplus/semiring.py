@@ -4,12 +4,17 @@ Finite values are stored as exact rationals so that averages and slopes
 compare without rounding. The additive identity ``inf`` (written ε in the
 tropical-algebra literature) is a dedicated singleton, never a numeric
 sentinel, because sentinel arithmetic breaks the absorbing law a ⊗ ε = ε.
+
+Matrices and polynomials store their values in a scaled int form instead
+(each value times a common D as an int, None for ε); the private helpers
+here build that form and read values back out of it.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
 
 from .errors import ParseError
@@ -44,23 +49,7 @@ class MinPlusValue:
     __slots__ = ("_q",)
 
     def __init__(self, value):
-        if isinstance(value, MinPlusValue):
-            self._q = value._q
-        elif value is None:
-            self._q = None
-        elif isinstance(value, bool):
-            raise TypeError("booleans are not min-plus values")
-        elif isinstance(value, Rational):
-            self._q = Fraction(value)
-        elif isinstance(value, str):
-            self._q = _parse_token(value)
-        elif isinstance(value, float):
-            raise TypeError(
-                "floats are rejected to keep arithmetic exact; "
-                "pass an int, Fraction, or a decimal/rational string"
-            )
-        else:
-            raise TypeError(f"cannot interpret {value!r} as a min-plus value")
+        self._q = _rational(value)
 
     @property
     def is_epsilon(self) -> bool:
@@ -138,8 +127,56 @@ def _parse_token(token: str) -> Fraction | None:
         raise ParseError(f"not a min-plus value: {token!r}") from exc
 
 
+def _rational(value) -> Fraction | None:
+    """The exact value of an int, Fraction, string, None or MinPlusValue:
+    a Fraction, or None for ε. Raises TypeError or ParseError otherwise."""
+    if isinstance(value, MinPlusValue):
+        return value._q
+    if value is None:
+        return None
+    if isinstance(value, bool):
+        raise TypeError("booleans are not min-plus values")
+    if isinstance(value, Rational):
+        return Fraction(value)
+    if isinstance(value, str):
+        return _parse_token(value)
+    if isinstance(value, float):
+        raise TypeError(
+            "floats are rejected to keep arithmetic exact; "
+            "pass an int, Fraction, or a decimal/rational string"
+        )
+    raise TypeError(f"cannot interpret {value!r} as a min-plus value")
+
+
 EPSILON = MinPlusValue(None)
 E = MinPlusValue(0)
+
+
+def _common_denominator(values) -> int:
+    """D of the scaled int form: the least common multiple of the reduced
+    denominators of the finite values (Fractions, None for ε), 1 with none.
+    D is canonical, so equal value sequences have equal scaled forms."""
+    return lcm(*{q.denominator for q in values if q is not None})
+
+
+def _scaled(q: Fraction | None, d: int) -> int | None:
+    """q times D as an int (D a multiple of q's denominator), None for ε."""
+    return None if q is None else q.numerator * (d // q.denominator)
+
+
+def _memo_rational(cell, memo: dict) -> Fraction | None:
+    """_rational of a decoded JSON cell, memoised in memo by cell for the
+    int, string and null cells; every other cell type raises TypeError."""
+    if cell.__class__ not in (int, str, type(None)):
+        return _rational(cell)
+    if cell not in memo:
+        memo[cell] = _rational(cell)
+    return memo[cell]
+
+
+def _unscaled(w: int | None, d: int) -> MinPlusValue:
+    """A value of the scaled int form as a min-plus value: w / d, or ε for None."""
+    return EPSILON if w is None else MinPlusValue(Fraction(w, d))
 
 
 def as_value(x) -> MinPlusValue:

@@ -360,3 +360,29 @@ def test_usage_error_exits_2(example_file):
     with pytest.raises(SystemExit) as exc:
         main(["circuits", "--format", "yaml", example_file])
     assert exc.value.code == 2
+
+
+def test_deeply_nested_json_is_a_parse_error(run, tmp_path):
+    depth = 200_000
+    matrix = tmp_path / "deep-matrix.json"
+    matrix.write_text('{"rows": [[' + "[" * depth + "]" * depth + "]]}")
+    polynomial = tmp_path / "deep-polynomial.json"
+    polynomial.write_text('{"coeffs": [0, ' + "[" * depth + "]" * depth + "]}")
+    for path in (matrix, polynomial):
+        for command in ("charpoly", "factor", "roots"):
+            assert run(command, str(path)) == (2, "", "error: invalid JSON: nested too deeply\n")
+
+
+def test_a_json_input_is_decoded_once(run, tmp_path, monkeypatch):
+    decoded = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text, **kw: decoded.append(text) or loads(text, **kw))
+    matrix = tmp_path / "m.json"
+    matrix.write_text('{"rows": [[1, "inf"], ["7/2", 0]]}')
+    polynomial = tmp_path / "p.json"
+    polynomial.write_text('{"coeffs": [0, 1, 4]}')
+    for path in (matrix, polynomial):
+        decoded.clear()
+        code, _, _ = run("factor", str(path))
+        assert code == 0
+        assert len(decoded) == 1
