@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 malformed input, 3 size cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -108,6 +109,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, formats=("text", "json", "tsv"))
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser()'s parser, built on first use and shared by every
+    main() call in the process. Parsing leaves no state on it, and argparse
+    reads the terminal width and the output streams when it prints, not
+    when it builds."""
+    return build_parser()
 
 
 def _positive_int(text: str) -> int:
@@ -364,8 +374,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except ParseError as exc:

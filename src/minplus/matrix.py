@@ -22,8 +22,9 @@ from .errors import ParseError, decode_json
 from .semiring import (
     MinPlusValue,
     _common_denominator,
-    _memo_rational,
-    _parse_token,
+    _decode_cell,
+    _decode_token,
+    _ratio,
     _rational,
     _scaled,
     _unscaled,
@@ -49,7 +50,7 @@ class MinPlusMatrix:
     __slots__ = ("_ints", "_d", "_rows")
 
     def __init__(self, rows):
-        values = tuple(tuple(_rational(x) for x in row) for row in rows)
+        values = tuple(tuple(_ratio(_rational(x)) for x in row) for row in rows)
         n = len(values)
         if n == 0:
             raise ValueError("matrix order must be at least 1")
@@ -57,7 +58,7 @@ class MinPlusMatrix:
             if len(row) != n:
                 raise ValueError(f"matrix must be square, got a row of length {len(row)} in an order-{n} matrix")
         d = _common_denominator(chain.from_iterable(values))
-        self._ints = tuple(tuple(_scaled(q, d) for q in row) for row in values)
+        self._ints = tuple(tuple(_scaled(pair, d) for pair in row) for row in values)
         self._d = d
         self._rows = None
 
@@ -174,10 +175,10 @@ def mat_otimes(a: MinPlusMatrix, b: MinPlusMatrix) -> MinPlusMatrix:
 
 def scalar_otimes(alpha, a: MinPlusMatrix) -> MinPlusMatrix:
     """Add a scalar to every entry (ε entries stay ε)."""
-    alpha = _rational(alpha)
+    alpha = _ratio(_rational(alpha))
     if alpha is None:
         return epsilon_matrix(a.n)
-    d = lcm(a._d, alpha.denominator)
+    d = lcm(a._d, alpha[1])
     shift = _scaled(alpha, d)
     return MinPlusMatrix._from_scaled(
         tuple(tuple(None if w is None else w + shift for w in row) for row in _rescaled(a, d)), d
@@ -207,8 +208,9 @@ def parse_matrix(text: str) -> MinPlusMatrix:
 
     The plain-text form is n lines of n whitespace-separated tokens; each
     token is an integer, exact decimal, "p/q", or an ε token ("inf", "eps").
-    Each distinct token is parsed once; D comes from the distinct finite
-    values, and the rows are filled with their scaled ints.
+    Each distinct token is decoded once to a (numerator, denominator) pair;
+    D comes from the distinct finite values, and the rows are filled with
+    their scaled ints.
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -226,17 +228,17 @@ def _matrix_from_json(obj) -> MinPlusMatrix:
     n = obj.get("n", len(rows))
     if n != len(rows):
         raise ParseError(f'"n" is {n} but {len(rows)} rows were given')
-    values: dict = {}
+    pairs: dict = {}
     for i, row in enumerate(rows, start=1):
         if len(row) != n:
             raise ParseError(f"row has {len(row)} entries, expected {n}", line=i)
         for j, cell in enumerate(row, start=1):
             try:
-                _memo_rational(cell, values)
+                _decode_cell(cell, pairs)
             except (ParseError, TypeError) as exc:
                 raise ParseError(f"bad matrix entry {cell!r}: {exc}", line=i, column=j) from exc
-    d = _common_denominator(values.values())
-    scaled = {cell: _scaled(q, d) for cell, q in values.items()}
+    d = _common_denominator(pairs.values())
+    scaled = {cell: _scaled(pair, d) for cell, pair in pairs.items()}
     return MinPlusMatrix._from_scaled(tuple(tuple(map(scaled.__getitem__, row)) for row in rows), d)
 
 
@@ -245,15 +247,19 @@ def _parse_matrix_text(text: str) -> MinPlusMatrix:
     if not lines:
         raise ParseError("empty matrix input")
     n = len(lines[0].split())
-    values: dict = {}
+    pairs: dict = {}
+    # each distinct token as one shared string: a row holds these, not its split() list
+    canonical: dict = {}
+    rows = []
     for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
         if len(tokens) != n:
             raise ParseError(f"expected {n} entries, found {len(tokens)}", line=lineno)
         bad = {}
-        for token in set(tokens).difference(values):
+        for token in set(tokens).difference(pairs):
             try:
-                values[token] = _parse_token(token)
+                pairs[token] = _decode_token(token)
+                canonical[token] = token
             except ParseError as exc:
                 bad[token] = exc
         if bad:
@@ -261,11 +267,14 @@ def _parse_matrix_text(text: str) -> MinPlusMatrix:
             raise ParseError(
                 f"bad matrix entry {token!r}", line=lineno, column=tokens.index(token) + 1
             ) from bad[token]
+        rows.append(tuple(map(canonical.__getitem__, tokens)))
     if len(lines) != n:
         raise ParseError(f"{len(lines)} rows of {n} entries each do not form a square matrix")
-    d = _common_denominator(values.values())
-    scaled = {token: _scaled(q, d) for token, q in values.items()}
-    return MinPlusMatrix._from_scaled(tuple(tuple(map(scaled.__getitem__, line.split())) for line in lines), d)
+    d = _common_denominator(pairs.values())
+    scaled = {token: _scaled(pair, d) for token, pair in pairs.items()}
+    for i, row in enumerate(rows):
+        rows[i] = tuple(map(scaled.__getitem__, row))
+    return MinPlusMatrix._from_scaled(tuple(rows), d)
 
 
 def load_matrix(path) -> MinPlusMatrix:

@@ -332,7 +332,19 @@ def _karp_component(edges: list[tuple[int, int, Fraction]]) -> Fraction:
     """Minimum cycle mean of one strongly connected component, given by
     its internal edges (every vertex of it is the tail of one).
 
-    Dynamic program over exact-length walks from a fixed source: with
+    A component with as many internal edges as vertices is one circuit
+    (see separated_check), so its mean is its weight over its length;
+    any other takes Karp's walk table (_karp_walks).
+    """
+    if len(edges) == len({t for t, _, _ in edges}):
+        scaled, d = _int_weights(edges)
+        return Fraction(sum(w for _, _, w in scaled), len(edges) * d)
+    return _karp_walks(edges)
+
+
+def _karp_walks(edges: list[tuple[int, int, Fraction]]) -> Fraction:
+    """Minimum cycle mean of one strongly connected component, by Karp's
+    dynamic program over exact-length walks from a fixed source: with
     D_k(v) the minimum weight of a k-edge walk source -> v (None when no
     such walk exists),
 

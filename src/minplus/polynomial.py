@@ -30,7 +30,8 @@ from .semiring import (
     E,
     MinPlusValue,
     _common_denominator,
-    _memo_rational,
+    _decode_cell,
+    _ratio,
     _rational,
     _scaled,
     _unscaled,
@@ -59,11 +60,11 @@ class MinPlusPolynomial:
     __slots__ = ("_ints", "_d", "_coeffs")
 
     def __init__(self, coeffs):
-        values = tuple(_rational(c) for c in coeffs)
+        values = tuple(_ratio(_rational(c)) for c in coeffs)
         if not values:
             raise ValueError("a polynomial needs at least one coefficient")
         d = _common_denominator(values)
-        self._ints = tuple(_scaled(q, d) for q in values)
+        self._ints = tuple(_scaled(pair, d) for pair in values)
         self._d = d
         self._coeffs = None
 
@@ -279,23 +280,24 @@ def parse_polynomial(text: str) -> MinPlusPolynomial:
 
 def _polynomial_from_json(obj) -> MinPlusPolynomial:
     """Validate a decoded polynomial JSON object and build the polynomial,
-    parsing each distinct coefficient cell once."""
+    decoding each distinct coefficient cell once to a (numerator,
+    denominator) pair."""
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise ParseError('polynomial JSON must be an object with a "coeffs" field')
     raw = obj["coeffs"]
     if not isinstance(raw, list) or not raw:
         raise ParseError('"coeffs" must be a non-empty list')
-    values: dict = {}
+    pairs: dict = {}
     for idx, cell in enumerate(raw):
         try:
-            _memo_rational(cell, values)
+            _decode_cell(cell, pairs)
         except (ParseError, TypeError) as exc:
             raise ParseError(f"bad coefficient {cell!r} at index {idx}: {exc}") from exc
     degree = obj.get("degree", len(raw) - 1)
     if degree != len(raw) - 1:
         raise ParseError(f'"degree" is {degree} but {len(raw)} coefficients were given')
-    d = _common_denominator(values.values())
-    scaled = {cell: _scaled(q, d) for cell, q in values.items()}
+    d = _common_denominator(pairs.values())
+    scaled = {cell: _scaled(pair, d) for cell, pair in pairs.items()}
     return MinPlusPolynomial._from_scaled(tuple(map(scaled.__getitem__, raw)), d)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from numbers import Rational
 
 from .errors import ParseError
@@ -130,6 +130,11 @@ def _parse_token(token: str) -> Fraction | None:
 def _rational(value) -> Fraction | None:
     """The exact value of an int, Fraction, string, None or MinPlusValue:
     a Fraction, or None for ε. Raises TypeError or ParseError otherwise."""
+    # exact classes first: a bool's class is bool, so it still meets its TypeError below
+    if value.__class__ is Fraction:
+        return value
+    if value.__class__ is int:
+        return Fraction(value)
     if isinstance(value, MinPlusValue):
         return value._q
     if value is None:
@@ -152,26 +157,60 @@ EPSILON = MinPlusValue(None)
 E = MinPlusValue(0)
 
 
-def _common_denominator(values) -> int:
+def _ratio(q: Fraction | None) -> tuple[int, int] | None:
+    """q as a (numerator, denominator) pair, None for ε."""
+    return None if q is None else (q.numerator, q.denominator)
+
+
+def _decode_token(token: str) -> tuple[int, int] | None:
+    """A textual value as a reduced (numerator, denominator) pair, None
+    for ε. ASCII [-]digits and [-]digits/digits go through int() and gcd,
+    with no Fraction built. Every other token, and one of those forms with
+    a zero denominator or past the int digit limit, takes _parse_token's
+    route, so the accepted forms and the errors are _parse_token's."""
+    num, slash, den = token.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if digits.isdigit() and token.isascii() and (not slash or den.isdigit()):
+        try:
+            p, q = int(num), int(den or 1)
+        except ValueError:  # past the int digit limit
+            pass
+        else:
+            if q:
+                g = gcd(p, q)
+                return p // g, q // g
+    return _ratio(_parse_token(token))
+
+
+def _decode_cell(cell, pairs: dict) -> None:
+    """Record in pairs, keyed by the cell, the pair of a decoded JSON cell:
+    (cell, 1) for an int, _decode_token's for a string (once per distinct
+    string), None for null. Every other cell type raises _rational's
+    TypeError."""
+    cls = cell.__class__
+    if cls is int:
+        pairs[cell] = (cell, 1)
+    elif cls is str:
+        if cell not in pairs:
+            pairs[cell] = _decode_token(cell)
+    elif cell is None:
+        pairs[None] = None
+    else:
+        pairs[cell] = _ratio(_rational(cell))  # raises for JSON's floats, booleans, lists and objects
+
+
+def _common_denominator(pairs) -> int:
     """D of the scaled int form: the least common multiple of the reduced
-    denominators of the finite values (Fractions, None for ε), 1 with none.
-    D is canonical, so equal value sequences have equal scaled forms."""
-    return lcm(*{q.denominator for q in values if q is not None})
+    denominators of the finite values ((numerator, denominator) pairs,
+    None for ε), 1 with none. D is canonical, so equal value sequences
+    have equal scaled forms."""
+    return lcm(*{pair[1] for pair in pairs if pair is not None})
 
 
-def _scaled(q: Fraction | None, d: int) -> int | None:
-    """q times D as an int (D a multiple of q's denominator), None for ε."""
-    return None if q is None else q.numerator * (d // q.denominator)
-
-
-def _memo_rational(cell, memo: dict) -> Fraction | None:
-    """_rational of a decoded JSON cell, memoised in memo by cell for the
-    int, string and null cells; every other cell type raises TypeError."""
-    if cell.__class__ not in (int, str, type(None)):
-        return _rational(cell)
-    if cell not in memo:
-        memo[cell] = _rational(cell)
-    return memo[cell]
+def _scaled(pair: tuple[int, int] | None, d: int) -> int | None:
+    """A pair's value times D as an int (D a multiple of its denominator),
+    None for ε."""
+    return None if pair is None else pair[0] * (d // pair[1])
 
 
 def _unscaled(w: int | None, d: int) -> MinPlusValue:

@@ -26,6 +26,7 @@ from minplus import (
     min_cycle_mean,
     network_from_matrix,
     plant_separated_instance,
+    scalar_otimes,
     separated_check,
     verify_corollary_equivalence,
     verify_separated_factorization,
@@ -173,6 +174,19 @@ def test_min_cycle_mean_matches_enumeration():
             MinPlusValue(min(c.average for c in circuits)) if circuits else EPSILON
         )
         assert min_cycle_mean(net) == expected
+
+
+def test_single_circuit_component_mean_matches_the_walk_table():
+    # a component with as many internal edges as vertices skips Karp's table
+    rng = random.Random(20261018)
+    single = 0
+    for _ in range(80):
+        matrix, _ = plant_separated_instance(rng, rng.randint(1, 12))
+        shift = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        for edges in network._edges_by_component(network_from_matrix(scalar_otimes(shift, matrix))):
+            single += len(edges) == len({t for t, _, _ in edges})
+            assert network._karp_component(edges) == network._karp_walks(edges)
+    assert single > 80
 
 
 def test_eigenvalue_triangle_random():
