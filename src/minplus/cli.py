@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 malformed input, 3 size cap exceeded,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import random
 import sys
@@ -109,15 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, formats=("text", "json", "tsv"))
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser()'s parser, built on first use and shared by every
-    main() call in the process. Parsing leaves no state on it, and argparse
-    reads the terminal width and the output streams when it prints, not
-    when it builds."""
-    return build_parser()
 
 
 def _positive_int(text: str) -> int:
@@ -374,7 +364,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except ParseError as exc:

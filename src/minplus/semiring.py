@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from numbers import Rational
 
 from .errors import ParseError
@@ -163,11 +163,13 @@ def _ratio(q: Fraction | None) -> tuple[int, int] | None:
 
 
 def _decode_token(token: str) -> tuple[int, int] | None:
-    """A textual value as a reduced (numerator, denominator) pair, None
-    for ε. ASCII [-]digits and [-]digits/digits go through int() and gcd,
-    with no Fraction built. Every other token, and one of those forms with
-    a zero denominator or past the int digit limit, takes _parse_token's
-    route, so the accepted forms and the errors are _parse_token's."""
+    """A textual value as a (numerator, denominator) pair, None for ε.
+    ASCII [-]digits and [-]digits/digits go through int() alone, with no
+    Fraction built, and "p/q" keeps any common factor: the parsers'
+    _from_scaled divides D and the ints by theirs. Every other token, and
+    one of those forms with a zero denominator or past the int digit
+    limit, takes _parse_token's route, so the accepted forms and the
+    errors are _parse_token's."""
     num, slash, den = token.partition("/")
     digits = num[1:] if num[:1] == "-" else num
     if digits.isdigit() and token.isascii() and (not slash or den.isdigit()):
@@ -177,8 +179,7 @@ def _decode_token(token: str) -> tuple[int, int] | None:
             pass
         else:
             if q:
-                g = gcd(p, q)
-                return p // g, q // g
+                return p, q
     return _ratio(_parse_token(token))
 
 
@@ -200,10 +201,11 @@ def _decode_cell(cell, pairs: dict) -> None:
 
 
 def _common_denominator(pairs) -> int:
-    """D of the scaled int form: the least common multiple of the reduced
+    """D of the scaled int form: the least common multiple of the
     denominators of the finite values ((numerator, denominator) pairs,
-    None for ε), 1 with none. D is canonical, so equal value sequences
-    have equal scaled forms."""
+    None for ε), 1 with none. From reduced pairs D is canonical, so equal
+    value sequences have equal scaled forms; from unreduced ones it is a
+    multiple of that, which _from_scaled divides out."""
     return lcm(*{pair[1] for pair in pairs if pair is not None})
 
 

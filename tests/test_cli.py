@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from minplus import MinPlusValue, cli, plant_separated_instance
+from minplus import MinPlusValue, plant_separated_instance
 from minplus.cli import main
 from conftest import EXAMPLE_7X7_TEXT
 
@@ -386,47 +386,3 @@ def test_a_json_input_is_decoded_once(run, tmp_path, monkeypatch):
         code, _, _ = run("factor", str(path))
         assert code == 0
         assert len(decoded) == 1
-
-
-def test_a_reused_parser_prints_what_a_fresh_one_does(tmp_path, monkeypatch, capsys, example_file):
-    poly = tmp_path / "p.json"
-    poly.write_text('{"coeffs": [0, "1/2", 4]}')
-    sequence = [
-        (80, ["factor", example_file]),
-        (80, ["charpoly", "--format", "yaml", example_file]),
-        (120, ["--help"]),
-        (40, ["--help"]),
-        (80, ["roots"]),
-        (200, ["factor", "--help"]),
-        (80, ["verify", "--cap-subsets", "0", example_file]),
-        (30, ["verify", "--help"]),
-        (80, ["roots", "--format", "json", str(poly)]),
-        (80, []),
-        (60, ["nosuch", example_file]),
-        (80, ["eigenvalue", "--method", "karp", "--format", "json", example_file]),
-        (25, ["circuits", "--format", "csv", example_file]),
-        (80, ["plot-data", "--format", "tsv", str(poly)]),
-        (80, ["verify", "--random-separated", "2", "--size", "0"]),
-        (80, ["verify", "--random-separated", "1", "--size", "3"]),
-        (80, ["verify", example_file]),
-        (80, ["charpoly", "--canonical", "--method", "flv", example_file]),
-        (80, ["charpoly", "--method", "flv", example_file]),
-        (80, ["charpoly", str(tmp_path / "missing.txt")]),
-        (80, ["circuits", "--format", "tsv", example_file]),
-    ]
-
-    def outcome(argv):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        return (code, *capsys.readouterr())
-
-    cli._parser.cache_clear()  # built under the first COLUMNS below, reused under the others
-    for columns, argv in sequence:
-        monkeypatch.setenv("COLUMNS", str(columns))
-        reused = outcome(argv)
-        with monkeypatch.context() as fresh:
-            fresh.setattr(cli, "_parser", cli.build_parser)
-            assert outcome(argv) == reused, argv
-    assert cli._parser.cache_info().misses == 1
