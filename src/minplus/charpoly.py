@@ -49,7 +49,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .errors import CapExceeded
-from .matrix import MinPlusMatrix
+from .matrix import MinPlusMatrix, _int_product
 from .polynomial import MinPlusPolynomial, canonicalize
 from .semiring import EPSILON, MinPlusValue, _unscaled
 
@@ -153,6 +153,11 @@ def tropdet_assignment(a: MinPlusMatrix) -> MinPlusValue:
     return _unscaled(None if solved is None else solved[0], a._d)
 
 
+def _check_subset_cap(n: int, cap: int) -> None:
+    if n > cap:
+        raise CapExceeded(f"principal-minor enumeration is capped at order {cap} (got {n})")
+
+
 def charpoly_tropdet(a: MinPlusMatrix, cap: int = SUBSET_CAP) -> MinPlusPolynomial:
     """The characteristic polynomial tropdet(A ⊕ x⊗I), as coefficients.
 
@@ -161,10 +166,7 @@ def charpoly_tropdet(a: MinPlusMatrix, cap: int = SUBSET_CAP) -> MinPlusPolynomi
     on the scaled int entries.
     """
     n = a.n
-    if n > cap:
-        raise CapExceeded(
-            f"principal-minor enumeration is capped at order {cap} (got {n})"
-        )
+    _check_subset_cap(n, cap)
     rows = a._ints
     coeffs: list[int | None] = [0]
     for j in range(1, n + 1):
@@ -234,19 +236,7 @@ def _closed_walk_minima(rows) -> list[int | None]:
     power = rows
     for k in range(1, n + 1):
         if k > 1:
-            product = []
-            for prow in power:
-                out: list[int | None] = [None] * n
-                for l, p in enumerate(prow):
-                    if p is None:
-                        continue
-                    for j, w in succ[l]:
-                        s = p + w
-                        cur = out[j]
-                        if cur is None or s < cur:
-                            out[j] = s
-                product.append(out)
-            power = product
+            power = _int_product(power, succ)
         diagonal = [power[i][i] for i in range(n) if power[i][i] is not None]
         traces.append(min(diagonal) if diagonal else None)
     return traces

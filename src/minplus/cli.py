@@ -6,20 +6,22 @@ polynomial is the natural subject, polynomial JSON files. All values
 print exactly: integers, "p/q" rationals, or "inf"; decimals are never
 emitted.
 
-Exit codes: 0 success, 2 malformed input, 3 size cap exceeded,
-4 verification or cross-method agreement failure.
+Exit codes: 0 success, 1 stdout closed early, 2 malformed input, 3 size
+cap exceeded, 4 verification or cross-method agreement failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
 from .charpoly import (
     BRUTE_FORCE_CAP,
     SUBSET_CAP,
+    _check_subset_cap,
     canonical_charpoly_tropdet,
     charpoly_flv,
     charpoly_tropdet,
@@ -41,7 +43,6 @@ from .polynomial import (
     _polynomial_from_json,
     breakpoints,
     canonicalize,
-    evaluate,
     factorize,
     format_factorization,
     format_polynomial,
@@ -49,50 +50,42 @@ from .polynomial import (
 from .semiring import MinPlusValue
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_VERIFY = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each with exactly the options it reads."""
     parser = argparse.ArgumentParser(
         prog="minplus",
         description="exact min-plus characteristic polynomials, factorization, and circuit reports",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, formats=("text", "json"), needs_input=True):
+    def command(name, help, methods=(), default=None, formats=("text", "json"), subject="matrix file"):
+        p = sub.add_parser(name, help=help)
+        if methods:
+            p.add_argument("--method", choices=methods, default=default)
         p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--cap-perms", type=_positive_int, default=BRUTE_FORCE_CAP,
-                       help="order cap for the permutation brute force")
+        p.add_argument("input", help=subject)
+        return p
+
+    def cap_subsets(p):
         p.add_argument("--cap-subsets", type=_positive_int, default=SUBSET_CAP,
-                       help="order cap for the principal-minor scan of charpoly and verify "
-                            "(factor, roots, plot-data and eigenvalue read the hull by "
-                            "parametric assignment, with no cap)")
-        p.add_argument("--cap-circuits", type=_positive_int, default=CIRCUIT_CAP,
-                       help="cap on the number of enumerated circuits")
-        if needs_input:
-            p.add_argument("input", help="matrix or polynomial file")
+                       help="order cap for the principal-minor scan")
 
-    p = sub.add_parser("charpoly", help="characteristic polynomial(s) of a matrix")
-    p.add_argument("--method", choices=("tropdet", "flv", "both"), default="both")
+    hull, either = ("tropdet", "flv"), "polynomial or matrix file"
+    p = command("charpoly", "characteristic polynomial(s) of a matrix", ("tropdet", "flv", "both"), "both")
     p.add_argument("--canonical", action="store_true", help="also print the canonical form")
-    add_common(p)
-
-    p = sub.add_parser("factor", help="linear factorization of a polynomial or matrix charpoly")
-    p.add_argument("--method", choices=("tropdet", "flv"), default="tropdet")
-    add_common(p)
-
-    p = sub.add_parser("roots", help="roots and multiplicities")
-    p.add_argument("--method", choices=("tropdet", "flv"), default="tropdet")
-    add_common(p)
-
-    p = sub.add_parser("eigenvalue", help="eigenvalue by one or all methods")
-    p.add_argument("--method", choices=("karp", "tropdet", "flv", "all"), default="all")
-    add_common(p)
-
-    p = sub.add_parser("circuits", help="elementary circuits of the network")
-    add_common(p, formats=("text", "json", "tsv"))
+    cap_subsets(p)
+    command("factor", "linear factorization of a polynomial or matrix charpoly", hull, "tropdet", subject=either)
+    command("roots", "roots and multiplicities", hull, "tropdet", subject=either)
+    command("eigenvalue", "eigenvalue by one or all methods", ("karp", "tropdet", "flv", "all"), "all")
+    p = command("circuits", "elementary circuits of the network", formats=("text", "json", "tsv"))
+    p.add_argument("--cap-circuits", type=_positive_int, default=CIRCUIT_CAP,
+                   help="cap on the number of enumerated circuits")
 
     p = sub.add_parser("verify", help="run the structure checks on a matrix or random instances")
     p.add_argument("--random-separated", type=_positive_int, metavar="K",
@@ -100,13 +93,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for the random instance generator")
     p.add_argument("--size", type=_positive_int, default=7,
                    help="vertex count for random instances")
-    add_common(p, needs_input=False)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--cap-perms", type=_positive_int, default=BRUTE_FORCE_CAP,
+                   help="order cap for the permutation brute force")
+    cap_subsets(p)
     p.add_argument("input", nargs="?", help="matrix file (omit with --random-separated)")
 
-    p = sub.add_parser("plot-data", help="breakpoints plus ray anchors of the function graph")
-    p.add_argument("--method", choices=("tropdet", "flv"), default="tropdet")
-    add_common(p, formats=("text", "json", "tsv"))
-
+    command("plot-data", "breakpoints plus ray anchors of the function graph", hull, "tropdet",
+            formats=("text", "json", "tsv"), subject=either)
     return parser
 
 
@@ -256,45 +250,31 @@ def cmd_circuits(args) -> int:
     return EXIT_OK
 
 
-def _verify_reports(matrix: MinPlusMatrix, args) -> list[dict]:
-    reports = verify_matrix(matrix, args.cap_perms, args.cap_subsets)
-    return [report.to_json() for report in reports]
-
-
 def cmd_verify(args) -> int:
     if args.random_separated is None and args.input is None:
         raise ParseError("verify needs a matrix file or --random-separated K")
     if args.random_separated is not None and args.input is not None:
         raise ParseError("give either a matrix file or --random-separated, not both")
+    caps = (args.cap_perms, args.cap_subsets)
     if args.random_separated is not None:
+        _check_subset_cap(args.size, args.cap_subsets)  # before building any O(size²) instance
         rng = random.Random(args.seed)
         instances = []
         for index in range(args.random_separated):
             matrix, _ = plant_separated_instance(rng, args.size)
-            instances.append(
-                {
-                    "instance": index,
-                    "matrix": matrix.to_json(),
-                    "checks": _verify_reports(matrix, args),
-                }
-            )
-        overall = all(c["pass"] for inst in instances for c in inst["checks"])
-        payload = {"seed": args.seed, "instances": instances, "pass": overall}
+            checks = [report.to_json() for report in verify_matrix(matrix, *caps)]
+            instances.append({"instance": index, "matrix": matrix.to_json(), "checks": checks})
+        labelled = [(f"instance {inst['instance']} ", inst["checks"]) for inst in instances]
+        payload = {"seed": args.seed, "instances": instances}
     else:
-        matrix = _load_matrix(args.input)
-        checks = _verify_reports(matrix, args)
-        overall = all(c["pass"] for c in checks)
-        payload = {"input": args.input, "checks": checks, "pass": overall}
+        checks = [report.to_json() for report in verify_matrix(_load_matrix(args.input), *caps)]
+        labelled = [("", checks)]
+        payload = {"input": args.input, "checks": checks}
+    payload["pass"] = all(check["pass"] for _, checks in labelled for check in checks)
     if args.format == "json":
         _emit_json(payload)
     else:
-        checks_lists = (
-            [(inst.get("instance"), inst["checks"]) for inst in payload["instances"]]
-            if "instances" in payload
-            else [(None, payload["checks"])]
-        )
-        for instance, checks in checks_lists:
-            prefix = f"instance {instance} " if instance is not None else ""
+        for prefix, checks in labelled:
             for check in checks:
                 status = "pass" if check["pass"] else "FAIL"
                 extra = "" if check["hypothesis_met"] in (True, None) else " (hypothesis not met)"
@@ -306,22 +286,21 @@ def cmd_verify(args) -> int:
 def cmd_plot_data(args) -> int:
     poly = _polynomial_from_input(args)
     points = breakpoints(poly)
-    rows = []
     if points:
         # the function is linear outside its breakpoints
         x0, y0, slope0, _ = points[0]
         xk, yk, _, slopek = points[-1]
-        rows.append(("anchor", x0 - 1, y0 - slope0, slope0, slope0))
+        rows = [("anchor", x0 - 1, y0 - slope0, slope0, slope0)]
         rows.extend(("breakpoint", x, y, sl, sr) for x, y, sl, sr in points)
         rows.append(("anchor", xk + 1, yk + slopek, slopek, slopek))
     else:
-        # single line: two anchors determine it
-        for x in (0, 1):
-            y = evaluate(poly, MinPlusValue(x))
-            if y.is_epsilon:
-                raise ParseError("the polynomial has no finite coefficients; nothing to plot")
-            slope = _single_line_slope(poly)
-            rows.append(("anchor", x, y.rational, slope, slope))
+        # no breakpoint: a single line c_j + (n-j)·x, from the one finite c_j
+        finite = [(j, c.rational) for j, c in enumerate(poly.coeffs) if not c.is_epsilon]
+        if not finite:
+            raise ParseError("the polynomial has no finite coefficients; nothing to plot")
+        [(j, c)] = finite
+        slope = poly.degree - j
+        rows = [("anchor", 0, c, slope, slope), ("anchor", 1, c + slope, slope, slope)]
     if args.format == "json":
         _emit_json(
             [
@@ -344,14 +323,6 @@ def cmd_plot_data(args) -> int:
     return EXIT_OK
 
 
-def _single_line_slope(poly: MinPlusPolynomial) -> int:
-    n = poly.degree
-    for j, c in enumerate(poly.coeffs):
-        if not c.is_epsilon:
-            return n - j
-    raise ParseError("the polynomial has no finite coefficients")
-
-
 _COMMANDS = {
     "charpoly": cmd_charpoly,
     "factor": cmd_factor,
@@ -364,10 +335,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # here, so that a closed pipe is caught below and not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (as `| head` does): send the rest to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

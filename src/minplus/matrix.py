@@ -155,22 +155,29 @@ def mat_oplus(a: MinPlusMatrix, b: MinPlusMatrix) -> MinPlusMatrix:
 def mat_otimes(a: MinPlusMatrix, b: MinPlusMatrix) -> MinPlusMatrix:
     """Min-plus matrix product: [ab]_ij = min_l (a_il + b_lj)."""
     _check_same_order(a, b)
-    n = a.n
     d = lcm(a._d, b._d)
     succ = [[(j, w) for j, w in enumerate(row) if w is not None] for row in _rescaled(b, d)]
-    out = []
-    for arow in _rescaled(a, d):
-        out_row: list[int | None] = [None] * n
-        for l, x in enumerate(arow):
+    return MinPlusMatrix._from_scaled(tuple(map(tuple, _int_product(_rescaled(a, d), succ))), d)
+
+
+def _int_product(rows, succ) -> list[list[int | None]]:
+    """The min-plus product of scaled int rows (None for ε) with a matrix B
+    in the same units, given as succ[l] = the (j, B_lj) pairs of the finite
+    entries of row l; only those are relaxed."""
+    n = len(succ)
+    product = []
+    for row in rows:
+        out: list[int | None] = [None] * n
+        for l, x in enumerate(row):
             if x is None:
                 continue
             for j, w in succ[l]:
                 s = x + w
-                cur = out_row[j]
+                cur = out[j]
                 if cur is None or s < cur:
-                    out_row[j] = s
-        out.append(tuple(out_row))
-    return MinPlusMatrix._from_scaled(tuple(out), d)
+                    out[j] = s
+        product.append(out)
+    return product
 
 
 def scalar_otimes(alpha, a: MinPlusMatrix) -> MinPlusMatrix:

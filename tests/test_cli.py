@@ -1,12 +1,17 @@
+import argparse
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from minplus import MinPlusValue, plant_separated_instance
-from minplus.cli import main
+from minplus.cli import build_parser, main
 from conftest import EXAMPLE_7X7_TEXT
 
 
@@ -149,6 +154,21 @@ def test_plot_data(run, tmp_path):
     assert len(lines) == 2
     assert all(line.startswith("anchor") for line in lines)
 
+    # no breakpoint: the one finite coefficient c_j fixes the line c_j + (n-j)·x
+    for coeffs, expected in (
+        ('["inf", 5, "inf"]', ["anchor x=0 y=5 slope_left=1 slope_right=1", "anchor x=1 y=6 slope_left=1 slope_right=1"]),
+        ('["7/2"]', ["anchor x=0 y=7/2 slope_left=0 slope_right=0", "anchor x=1 y=7/2 slope_left=0 slope_right=0"]),
+    ):
+        single = tmp_path / "single.json"
+        single.write_text(f'{{"coeffs": {coeffs}}}')
+        assert run("plot-data", str(single)) == (0, "\n".join(expected) + "\n", "")
+
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"coeffs": ["inf", "inf"]}')
+    assert run("plot-data", str(empty)) == (
+        2, "", "error: the polynomial has no finite coefficients; nothing to plot\n"
+    )
+
 
 def test_plot_data_from_matrix_flv(run, example_file):
     code, out, _ = run("plot-data", "--method", "flv", "--format", "json", example_file)
@@ -229,26 +249,6 @@ def test_cap_exceeded_exit_code(run, example_file):
     assert "capped" in err
 
 
-def test_hull_commands_take_no_subset_cap(run, example_file):
-    # the principal-minor scan (and its cap) is for charpoly and verify only
-    commands = [
-        ("factor",),
-        ("factor", "--format", "json"),
-        ("roots",),
-        ("roots", "--format", "json"),
-        ("plot-data",),
-        ("plot-data", "--format", "json"),
-        ("plot-data", "--format", "tsv"),
-        ("eigenvalue",),
-        ("eigenvalue", "--format", "json"),
-        ("eigenvalue", "--method", "tropdet"),
-    ]
-    for command in commands:
-        expected = run(*command, example_file)
-        assert expected[0] == 0
-        assert run(*command, "--cap-subsets", "3", example_file) == expected
-
-
 def test_hull_commands_above_order_16(run, tmp_path):
     # three planted cycles (lengths 11, 2, 6) and five circuit-free vertices
     matrix, planted = plant_separated_instance(random.Random(6), 24)
@@ -297,15 +297,82 @@ def test_values_past_the_digit_limit_exit_2(run, tmp_path):
             assert "sys.set_int_max_str_digits" not in err
 
 
-def test_verify_honours_its_caps(run, example_file):
-    code, _, err = run("verify", "--cap-subsets", "3", example_file)
-    assert code == 3
-    assert "capped" in err
-    # verify lists no circuits, so the circuit cap (the example has four) does not apply
-    assert run("verify", "--cap-circuits", "3", example_file) == run("verify", example_file)
-    assert run("verify", "--cap-circuits", "3", "--format", "json", example_file) == run(
-        "verify", "--format", "json", example_file
+# each command's options, as documented in the README
+OPTIONS = {
+    "charpoly": {"--method", "--canonical", "--format", "--cap-subsets"},
+    "factor": {"--method", "--format"},
+    "roots": {"--method", "--format"},
+    "plot-data": {"--method", "--format"},
+    "eigenvalue": {"--method", "--format"},
+    "circuits": {"--format", "--cap-circuits"},
+    "verify": {"--random-separated", "--seed", "--size", "--format", "--cap-perms", "--cap-subsets"},
+}
+CAPS = ("--cap-perms", "--cap-subsets", "--cap-circuits")
+
+
+def test_each_command_takes_exactly_its_options():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: {s for action in parser._actions for s in action.option_strings} - {"-h", "--help"}
+        for name, parser in commands.choices.items()
+    }
+    assert found == OPTIONS
+    assert sum(map(len, found.values())) == 20
+    assert sum(flag in CAPS for flags in found.values() for flag in flags) == 4
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, flags in OPTIONS.items() for flag in CAPS if flag not in flags],
+)
+def test_a_cap_a_command_does_not_read_is_a_usage_error(command, flag, example_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "3", example_file])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_every_kept_cap_is_honoured(run, example_file):
+    for argv in (("charpoly", "--cap-subsets", "3"), ("verify", "--cap-subsets", "3")):
+        assert run(*argv, example_file) == (
+            3, "", "error: principal-minor enumeration is capped at order 3 (got 7)\n"
+        )
+    # the example has four circuits
+    assert run("circuits", "--cap-circuits", "3", example_file) == (
+        3, "", "error: circuit enumeration exceeded the cap of 3\n"
     )
+    assert run("circuits", "--cap-circuits", "4", example_file)[0] == 0
+    code, out, _ = run("verify", "--cap-perms", "6", "--format", "json", example_file)
+    assert code == 0
+    oracle = json.loads(out)["checks"][0]
+    assert (oracle["check"], oracle["hypothesis_met"]) == ("tropdet_oracle", False)
+    assert oracle["details"] == [{"note": "order 7 above the brute-force cap 6"}]
+
+
+def test_random_instances_above_the_subset_cap_fail_before_any_is_built(run):
+    started = time.perf_counter()
+    code, out, err = run("verify", "--random-separated", "2", "--size", "2000")
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (3, "")
+    assert err == "error: principal-minor enumeration is capped at order 16 (got 2000)\n"
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # about 226 KB of JSON, well past a pipe's buffer, so the writer meets the closed pipe
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "minplus", "verify", "--random-separated", "50", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    )
+    assert proc.stdout.read(10) == b'{\n  "seed"'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
 
 
 def test_verify_complete_order_8(run, tmp_path):
