@@ -9,6 +9,12 @@ graph data. `verify_matrix` runs every check on one matrix from one
 computation of each polynomial, one component pass and one subset dynamic
 program over the graph; it lists no circuits.
 
+A network stores its edges once, at construction, in the scaled int form
+a matrix uses: (tail, head, weight times D) with D the least common
+multiple of the weights' reduced denominators, so a network built from a
+matrix has the matrix's D. Every kernel here reads that form and builds
+Fractions only for the values it returns.
+
 Vertices are labeled 1..m throughout, matching the adjacency-matrix rows.
 """
 
@@ -17,13 +23,12 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from .charpoly import charpoly_flv, charpoly_tropdet, tropdet_assignment, tropdet_bruteforce
 from .errors import CapExceeded
 from .matrix import MinPlusMatrix
 from .polynomial import Factorization, MinPlusPolynomial, canonicalize, factorize, is_equivalent
-from .semiring import EPSILON, MinPlusValue
+from .semiring import EPSILON, MinPlusValue, _common_denominator, _ratio, _rational, _scaled
 
 __all__ = [
     "Network",
@@ -49,12 +54,23 @@ CIRCUIT_CAP = 10**6
 EXHAUSTIVE_CAP = 10
 
 
+def _finite(weight) -> Fraction:
+    """An edge or circuit weight as a Fraction, coerced as a matrix entry
+    is (floats, booleans and Decimals raise TypeError); ε raises ValueError."""
+    q = _rational(weight)
+    if q is None:
+        raise ValueError("a weight must be finite, not ε")
+    return q
+
+
 @dataclass(frozen=True)
 class Network:
     """m vertices (1..m) and directed weighted edges, one per ordered pair."""
 
     m: int
     edges: tuple[tuple[int, int, Fraction], ...]
+    _ints: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
+    _d: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 0:
@@ -67,8 +83,11 @@ class Network:
             if (tail, head) in seen:
                 raise ValueError(f"duplicate edge for ordered pair ({tail}, {head})")
             seen.add((tail, head))
-            normalized.append((tail, head, Fraction(weight)))
+            normalized.append((tail, head, _finite(weight)))
+        d = _common_denominator(_ratio(w) for _, _, w in normalized)
         object.__setattr__(self, "edges", tuple(normalized))
+        object.__setattr__(self, "_ints", tuple((t, h, _scaled(_ratio(w), d)) for t, h, w in normalized))
+        object.__setattr__(self, "_d", d)
 
     def successors(self) -> dict[int, list[tuple[int, Fraction]]]:
         adj: dict[int, list[tuple[int, Fraction]]] = {v: [] for v in range(1, self.m + 1)}
@@ -93,7 +112,7 @@ class Circuit:
             raise ValueError("circuit vertices must be distinct")
         if self.vertices[0] != min(self.vertices):
             raise ValueError("circuit must be in canonical rotation (smallest vertex first)")
-        object.__setattr__(self, "weight", Fraction(self.weight))
+        object.__setattr__(self, "weight", _finite(self.weight))
 
     @property
     def length(self) -> int:
@@ -189,13 +208,6 @@ def matrix_from_network(net: Network) -> MinPlusMatrix:
     return MinPlusMatrix(rows)
 
 
-def _int_weights(edges) -> tuple[list[tuple[int, int, int]], int]:
-    """The edges with each weight times D as an int, and D, the least common
-    multiple of the weights' denominators (1 with no edge)."""
-    d = lcm(*{w.denominator for _, _, w in edges})
-    return [(t, h, w.numerator * (d // w.denominator)) for t, h, w in edges], d
-
-
 def _strongly_connected_components(succ: dict[int, list[tuple[int, Fraction]]]) -> list[list[int]]:
     """Tarjan's algorithm, iterative, on the subgraph induced by the keys of succ."""
     index: dict[int, int] = {}
@@ -247,12 +259,13 @@ def _strongly_connected_components(succ: dict[int, list[tuple[int, Fraction]]]) 
     return components
 
 
-def _edges_by_component(net: Network) -> list[list[tuple[int, int, Fraction]]]:
-    """The internal edges of each strongly connected component that has one."""
+def _edges_by_component(net: Network) -> list[list[tuple[int, int, int]]]:
+    """The internal edges of each strongly connected component that has
+    one, with their weights times D."""
     components = _strongly_connected_components(net.successors())
     component = {v: ci for ci, members in enumerate(components) for v in members}
-    inside: dict[int, list[tuple[int, int, Fraction]]] = defaultdict(list)
-    for tail, head, weight in net.edges:
+    inside: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
+    for tail, head, weight in net._ints:
         if component[tail] == component[head]:
             inside[component[tail]].append((tail, head, weight))
     return list(inside.values())
@@ -304,8 +317,7 @@ def enumerate_circuits(net: Network, cap: int = CIRCUIT_CAP) -> list[Circuit]:
     from its smallest vertex, so it comes out already in canonical
     rotation. Results are sorted by (length, vertex sequence).
     """
-    scaled, d = _int_weights(net.edges)
-    weight_of = {(t, h): w for t, h, w in scaled}
+    weight_of = {(t, h): w for t, h, w in net._ints}
     adj = net.successors()
     circuits: list[Circuit] = []
     pending = [adj]
@@ -316,7 +328,7 @@ def enumerate_circuits(net: Network, cap: int = CIRCUIT_CAP) -> list[Circuit]:
             succ = {v: [(h, w) for h, w in adj[v] if h in inside] for v in component}
             for cycle in _circuits_through(start, succ):
                 total = sum(weight_of[edge] for edge in zip(cycle, cycle[1:] + cycle[:1]))
-                circuits.append(Circuit(vertices=cycle, weight=Fraction(total, d)))
+                circuits.append(Circuit(vertices=cycle, weight=Fraction(total, net._d)))
                 if len(circuits) > cap:
                     raise CapExceeded(
                         f"circuit enumeration exceeded the cap of {cap}",
@@ -328,21 +340,21 @@ def enumerate_circuits(net: Network, cap: int = CIRCUIT_CAP) -> list[Circuit]:
     return circuits
 
 
-def _karp_component(edges: list[tuple[int, int, Fraction]]) -> Fraction:
+def _karp_component(edges: list[tuple[int, int, int]], d: int) -> Fraction:
     """Minimum cycle mean of one strongly connected component, given by
-    its internal edges (every vertex of it is the tail of one).
+    its internal edges with their weights times d (every vertex of it is
+    the tail of one).
 
     A component with as many internal edges as vertices is one circuit
     (see separated_check), so its mean is its weight over its length;
     any other takes Karp's walk table (_karp_walks).
     """
     if len(edges) == len({t for t, _, _ in edges}):
-        scaled, d = _int_weights(edges)
-        return Fraction(sum(w for _, _, w in scaled), len(edges) * d)
-    return _karp_walks(edges)
+        return Fraction(sum(w for _, _, w in edges), len(edges) * d)
+    return _karp_walks(edges, d)
 
 
-def _karp_walks(edges: list[tuple[int, int, Fraction]]) -> Fraction:
+def _karp_walks(edges: list[tuple[int, int, int]], d: int) -> Fraction:
     """Minimum cycle mean of one strongly connected component, by Karp's
     dynamic program over exact-length walks from a fixed source: with
     D_k(v) the minimum weight of a k-edge walk source -> v (None when no
@@ -351,18 +363,16 @@ def _karp_walks(edges: list[tuple[int, int, Fraction]]) -> Fraction:
         lambda = min over v with D_n(v) finite of
                  max over k < n with D_k(v) finite of (D_n(v) - D_k(v)) / (n - k).
 
-    The walks run on the weights scaled to ints by the LCM of their
-    denominators, and the ratios are compared cross-multiplied (the
-    denominators n - k are positive), so the one Fraction built is the
-    result.
+    The walks run on the int weights (times d), and the ratios are
+    compared cross-multiplied (the denominators n - k are positive), so
+    the one Fraction built is the result.
     """
     order = sorted({t for t, _, _ in edges})
     pos = {v: i for i, v in enumerate(order)}
     n = len(order)
-    scaled, d = _int_weights(edges)
     table: list[list[int | None]] = [[None] * n for _ in range(n + 1)]
     table[0][0] = 0
-    local_edges = [(pos[t], pos[h], w) for t, h, w in scaled]
+    local_edges = [(pos[t], pos[h], w) for t, h, w in edges]
     for k in range(1, n + 1):
         prev = table[k - 1]
         cur = table[k]
@@ -398,7 +408,7 @@ def min_cycle_mean(net: Network) -> MinPlusValue:
     Runs the exact-length-walk dynamic program independently on each
     strongly connected component, since every circuit lives inside one.
     """
-    means = [MinPlusValue(_karp_component(edges)) for edges in _edges_by_component(net)]
+    means = [MinPlusValue(_karp_component(edges, net._d)) for edges in _edges_by_component(net)]
     return min(means, default=EPSILON)
 
 
@@ -439,7 +449,7 @@ def enumerate_extended_circuits(
 def _family_minima(net: Network) -> dict[int, Fraction]:
     """Least weight of a vertex-disjoint circuit family of total length j,
     for each j that has one, by one dynamic program over vertex subsets S
-    (bitmasks) on the LCM-scaled int weights; no circuit is listed.
+    (bitmasks) on the network's int weights; no circuit is listed.
 
     Order a family's circuits by decreasing lowest vertex: the family is
     then built in exactly one way, opening each circuit at its lowest
@@ -455,10 +465,9 @@ def _family_minima(net: Network) -> dict[int, Fraction]:
     and closed[S] is the least weight of a family covering exactly S. Each
     step goes to a larger mask, so one ascending pass takes O(2^n · m).
     """
-    scaled, d = _int_weights(net.edges)
     out: list[list[tuple[int, int]]] = [[] for _ in range(net.m)]
     into: list[dict[int, int]] = [{} for _ in range(net.m)]
-    for tail, head, weight in scaled:
+    for tail, head, weight in net._ints:
         out[tail - 1].append((head - 1, weight))
         into[head - 1][tail - 1] = weight
     paths: dict[int, dict[int, int]] = {1 << u: {u: 0} for u in range(net.m)}
@@ -483,7 +492,7 @@ def _family_minima(net: Network) -> dict[int, Fraction]:
             target = paths.setdefault(s | 1 << u, {})
             if u not in target or closed < target[u]:
                 target[u] = closed
-    return {j: Fraction(total, d) for j, total in minima.items()}
+    return {j: Fraction(total, net._d) for j, total in minima.items()}
 
 
 def _coefficient_report(poly: MinPlusPolynomial, minima: dict[int, Fraction]) -> Report:
@@ -505,7 +514,7 @@ def coefficient_check(a: MinPlusMatrix) -> Report:
     return _coefficient_report(charpoly_tropdet(a), _family_minima(network_from_matrix(a)))
 
 
-def _is_separated(components: list[list[tuple[int, int, Fraction]]]) -> bool:
+def _is_separated(components: list[list[tuple[int, int, int]]]) -> bool:
     tails = [tail for edges in components for tail, _, _ in edges]
     return len(tails) == len(set(tails))
 
@@ -524,13 +533,14 @@ def separated_check(net: Network) -> bool:
     return _is_separated(_edges_by_component(net))
 
 
-def _homogeneous_groups(components: list[list[tuple[int, int, Fraction]]]) -> list[tuple[Fraction, int]]:
+def _homogeneous_groups(components: list[list[tuple[int, int, int]]], d: int) -> list[tuple[Fraction, int]]:
     """Group the circuits of a separated network by average weight:
     (average, total length), ascending. Each component with an internal
-    edge is one circuit, made of exactly its internal edges."""
+    edge is one circuit, made of exactly its internal edges (weights
+    times d)."""
     totals: dict[Fraction, int] = defaultdict(int)
     for edges in components:
-        totals[sum((w for _, _, w in edges), Fraction(0)) / len(edges)] += len(edges)
+        totals[Fraction(sum(w for _, _, w in edges), len(edges) * d)] += len(edges)
     return sorted(totals.items())
 
 
@@ -554,10 +564,11 @@ def verify_separated_factorization(a: MinPlusMatrix) -> Report:
     factors exactly as predicted by the homogeneous circuit groups:
     (x ⊕ p_1)^(l_1) ⊗ ... ⊗ (x ⊕ p_k)^(l_k) ⊗ x^r with r the number of
     circuit-free vertices."""
-    components = _edges_by_component(network_from_matrix(a))
+    net = network_from_matrix(a)
+    components = _edges_by_component(net)
     if not _is_separated(components):
         return _factorization_report(a.n, None, None)
-    return _factorization_report(a.n, _homogeneous_groups(components), charpoly_tropdet(a))
+    return _factorization_report(a.n, _homogeneous_groups(components, net._d), charpoly_tropdet(a))
 
 
 def _equivalence_report(separated: bool, g: MinPlusPolynomial, g_hat: MinPlusPolynomial) -> Report:
@@ -591,7 +602,9 @@ def verify_matrix(a: MinPlusMatrix, cap_perms: int, cap_subsets: int) -> list[Re
     """Every check of `minplus verify` on one matrix: the tropdet oracle,
     separation, coefficients, separated factorization and the corollary
     equivalence. No circuit is listed. The subset scan of `charpoly_tropdet`
-    runs before the family-minima program, so `cap_subsets` bounds both."""
+    runs first, so an order above `cap_subsets` is refused before the
+    permutation brute force or the family-minima program starts."""
+    g = charpoly_tropdet(a, cap=cap_subsets)
     if a.n <= cap_perms:
         brute, solver = tropdet_bruteforce(a, cap=cap_perms), tropdet_assignment(a)
         details = {"bruteforce": brute.to_json(), "assignment": solver.to_json(), "match": brute == solver}
@@ -599,7 +612,6 @@ def verify_matrix(a: MinPlusMatrix, cap_perms: int, cap_subsets: int) -> list[Re
     else:
         details = {"note": f"order {a.n} above the brute-force cap {cap_perms}"}
         oracle = Report(check="tropdet_oracle", hypothesis_met=False, details=[details])
-    g = charpoly_tropdet(a, cap=cap_subsets)
     net = network_from_matrix(a)
     components = _edges_by_component(net)
     separated = _is_separated(components)
@@ -607,7 +619,7 @@ def verify_matrix(a: MinPlusMatrix, cap_perms: int, cap_subsets: int) -> list[Re
         oracle,
         Report(check="separated", hypothesis_met=None, details=[{"separated": separated}]),
         _coefficient_report(g, _family_minima(net)),
-        _factorization_report(a.n, _homogeneous_groups(components) if separated else None, g),
+        _factorization_report(a.n, _homogeneous_groups(components, net._d) if separated else None, g),
         _equivalence_report(separated, g, charpoly_flv(a)),
     ]
 

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -67,6 +69,14 @@ def test_network_validation():
         Network(m=2, edges=((1, 2, Fraction(1)), (1, 2, Fraction(3))))
     with pytest.raises(ValueError, match="outside"):
         Network(m=2, edges=((1, 3, Fraction(1)),))
+    # weights are coerced as matrix entries are: exact values only, and finite
+    for weight, message in ((0.1, "floats"), (True, "booleans"), (Decimal("0.1"), "cannot interpret")):
+        with pytest.raises(TypeError, match=message):
+            Network(m=1, edges=((1, 1, weight),))
+    for weight in (None, "inf"):
+        with pytest.raises(ValueError, match="finite"):
+            Network(m=1, edges=((1, 1, weight),))
+    assert Network(m=1, edges=((1, 1, "7/2"),)).edges == ((1, 1, Fraction(7, 2)),)
 
 
 def test_circuit_type_invariants():
@@ -74,6 +84,12 @@ def test_circuit_type_invariants():
         Circuit(vertices=(3, 1, 2), weight=Fraction(0))
     with pytest.raises(ValueError, match="distinct"):
         Circuit(vertices=(1, 2, 1), weight=Fraction(0))
+    for weight, message in ((0.1, "floats"), (True, "booleans"), (Decimal("0.1"), "cannot interpret")):
+        with pytest.raises(TypeError, match=message):
+            Circuit(vertices=(1,), weight=weight)
+    for weight in (None, "inf"):
+        with pytest.raises(ValueError, match="finite"):
+            Circuit(vertices=(1,), weight=weight)
     c = Circuit(vertices=(1, 3, 2), weight=Fraction(6))
     assert c.length == 3
     assert c.average == 2
@@ -89,6 +105,41 @@ def test_extended_circuit_disjointness():
     overlapping = Circuit(vertices=(2, 4), weight=Fraction(0))
     with pytest.raises(ValueError, match="share"):
         ExtendedCircuit(circuits=(a, overlapping))
+
+
+def test_network_holds_the_scaled_form_of_its_matrix():
+    # random ε-heavy matrices with denominators 1-4, every fourth a planted separated instance
+    rng = random.Random(20261103)
+    for k in range(200):
+        n = rng.randint(1, 8)
+        if k % 4 == 3:
+            a = plant_separated_instance(rng, n)[0]
+        else:
+            density = rng.uniform(0.05, 0.5)
+            a = MinPlusMatrix(
+                [
+                    [Fraction(rng.randint(-9, 20), rng.randint(1, 4)) if rng.random() < density else EPS for _ in range(n)]
+                    for _ in range(n)
+                ]
+            )
+        net = network_from_matrix(a)
+        assert net._d == a._d
+        assert net._ints == tuple(
+            (i, j, w) for i, row in enumerate(a._ints, start=1) for j, w in enumerate(row, start=1) if w is not None
+        )
+        rebuilt = Network(m=a.n, edges=net.edges)
+        assert rebuilt == net and hash(rebuilt) == hash(net)
+        assert (rebuilt._ints, rebuilt._d) == (net._ints, net._d)
+
+
+def test_network_equality_hash_and_repr_see_only_m_and_edges():
+    net = Network(m=2, edges=((1, 2, Fraction(1, 2)), (2, 1, 3)))
+    assert [f.name for f in dataclasses.fields(net) if f.compare] == ["m", "edges"]
+    assert repr(net) == f"Network(m=2, edges={net.edges!r})"
+    assert hash(net) == hash((2, net.edges))
+    assert (net._ints, net._d) == (((1, 2, 1), (2, 1, 6)), 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.m = 3
 
 
 def test_enumerate_circuits_golden(example7):
@@ -183,9 +234,10 @@ def test_single_circuit_component_mean_matches_the_walk_table():
     for _ in range(80):
         matrix, _ = plant_separated_instance(rng, rng.randint(1, 12))
         shift = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-        for edges in network._edges_by_component(network_from_matrix(scalar_otimes(shift, matrix))):
+        net = network_from_matrix(scalar_otimes(shift, matrix))
+        for edges in network._edges_by_component(net):
             single += len(edges) == len({t for t, _, _ in edges})
-            assert network._karp_component(edges) == network._karp_walks(edges)
+            assert network._karp_component(edges, net._d) == network._karp_walks(edges, net._d)
     assert single > 80
 
 
@@ -270,12 +322,16 @@ def test_verify_matrix_above_the_old_exhaustive_cap_matches_oracles():
 
 def test_verify_matrix_subset_cap_stops_before_family_minima(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("family minima computed past the subset cap")
+        raise AssertionError("work done past the subset cap")
 
     monkeypatch.setattr(network, "_family_minima", refuse)
+    monkeypatch.setattr(network, "tropdet_bruteforce", refuse)
     a = diag(*range(12))
     with pytest.raises(CapExceeded, match="capped at order 11"):
         network.verify_matrix(a, cap_perms=9, cap_subsets=11)
+    # an order within the brute-force cap is still refused before the brute force runs
+    with pytest.raises(CapExceeded, match="capped at order 11"):
+        network.verify_matrix(a, cap_perms=12, cap_subsets=11)
     with pytest.raises(CapExceeded, match="capped at order 16"):
         coefficient_check(diag(*range(17)))
 
