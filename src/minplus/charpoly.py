@@ -21,7 +21,9 @@ assignment solve on A ⊕ X⊗I, so it has no size cap; ``factor``,
 ``roots``, ``plot-data`` and ``eigenvalue`` use it. The coefficients
 off the hull (the best principal submatrix problem, of open complexity)
 need the subset scan of ``charpoly_tropdet``, which ``charpoly`` and
-``verify`` keep, under their cap.
+``verify`` keep, under their cap. The scan costs one shortest augmenting
+path per subset, O(2^n·n^2) in all: each minor's optimal assignment
+extends that of its parent, one row and one column smaller.
 
 Any optimal matching at X is a supporting line of the hull. Let k of
 its matched diagonal cells take X, let S be the other n-k indices and
@@ -33,7 +35,10 @@ returns.
 
 The tropical determinant itself comes in two independent implementations,
 a permutation brute force and a minimum-cost assignment solver, so each
-can serve as the other's oracle.
+can serve as the other's oracle. The brute force walks only finite cells,
+so its work grows with the partial permutations through them (n! only on
+dense input). The solver and the subset scan share one augmentation step,
+``_augment``.
 
 All inner loops run on Python ints, with None for ε: they read the
 matrix's own scaled int form (its entries times the least common multiple
@@ -46,7 +51,6 @@ exact rationals as a computation on Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
 
 from .errors import CapExceeded
 from .matrix import MinPlusMatrix, _int_product
@@ -69,7 +73,16 @@ SUBSET_CAP = 16
 
 
 def tropdet_bruteforce(a: MinPlusMatrix, cap: int = BRUTE_FORCE_CAP) -> MinPlusValue:
-    """Minimum over all n! permutations of the selected entry sum."""
+    """Minimum over all permutations of the selected entry sum.
+
+    A depth-first walk on an explicit stack: depth i tries only row i's
+    finite cells in the columns not yet taken, and keeps the running sum
+    of the cells above it; the last row takes the one column left, read
+    off the sum of the columns not taken. A permutation is cut at its
+    first ε cell and every prefix sum is shared, so the work grows with
+    the partial permutations through finite cells (n! only on dense
+    input), while every finite permutation is still enumerated.
+    """
     n = a.n
     if n > cap:
         raise CapExceeded(
@@ -77,74 +90,117 @@ def tropdet_bruteforce(a: MinPlusMatrix, cap: int = BRUTE_FORCE_CAP) -> MinPlusV
             f"(got {n}); use tropdet_assignment instead"
         )
     rows = a._ints
+    if n == 1:
+        return _unscaled(rows[0][0], a._d)
+    cells = [[(j, w) for j, w in enumerate(row) if w is not None] for row in rows[:-1]]
+    last = rows[-1]
+    taken = [False] * n
+    left = n * (n - 1) // 2  # the sum of the columns not taken
+    sums = [0]  # sums[i]: the sum of the cells taken in rows 0..i-1
+    chosen: list[int] = []  # chosen[i]: the column taken in row i
+    stack = [iter(cells[0])]  # stack[i]: the cells of row i still to try
     best: int | None = None
-    for sigma in permutations(range(n)):
-        total = 0
-        for i, j in enumerate(sigma):
-            cell = rows[i][j]
-            if cell is None:
+    while stack:
+        for j, w in stack[-1]:
+            if not taken[j]:
                 break
-            total += cell
         else:
-            if best is None or total < best:
-                best = total
+            stack.pop()
+            sums.pop()
+            if chosen:
+                j = chosen.pop()
+                taken[j] = False
+                left += j
+            continue
+        total = sums[-1] + w
+        if len(stack) == n - 1:  # row n-1 takes the one column left
+            cell = last[left - j]
+            if cell is not None and (best is None or total + cell < best):
+                best = total + cell
+        else:
+            taken[j] = True
+            chosen.append(j)
+            left -= j
+            sums.append(total)
+            stack.append(iter(cells[len(stack)]))
     return _unscaled(best, a._d)
+
+
+def _augment(rows, cols, u, v, match, i: int) -> bool:
+    """One shortest augmenting path from the free row i.
+
+    The step of the Hungarian method in its O(n^3) form, in exact integer
+    arithmetic, with None as a forbidden cell. Rows, columns and the
+    arrays u, v (the duals) and match (match[j] the row matched to column
+    j, 0 = free) count from 1; index 0 is the path's virtual start column.
+    Row i may enter with any u_i: the first round raises it to
+    min_j a_ij - v_j. The matched rows must be dual feasible on every
+    column of cols (u_r + v_j <= a_rj) and tight on their matched cells;
+    that holds again for i as well on return. Returns False, with the
+    arrays spoilt, when the finite cells give row i no augmenting path.
+    """
+    size = len(match)
+    minv: list[int | None] = [None] * size
+    way = [0] * size
+    used = [False] * size
+    match[0] = i
+    j0 = 0
+    while True:
+        used[j0] = True
+        i0 = match[j0]
+        delta: int | None = None
+        j1 = 0
+        base = u[i0]
+        row = rows[i0 - 1]
+        for j in cols:
+            if used[j]:
+                continue
+            cell = row[j - 1]
+            if cell is not None:
+                cur = cell - base - v[j]
+                if minv[j] is None or cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+            if minv[j] is not None and (delta is None or minv[j] < delta):
+                delta = minv[j]
+                j1 = j
+        if delta is None:
+            return False  # Hall violation: no perfect matching on finite cells
+        u[i] += delta  # row i sits on the virtual column 0, always in the tree
+        for j in cols:
+            if used[j]:
+                u[match[j]] += delta
+                v[j] -= delta
+            elif minv[j] is not None:
+                minv[j] -= delta
+        j0 = j1
+        if match[j0] == 0:
+            break
+    while j0:
+        j1 = way[j0]
+        match[j0] = match[j1]
+        j0 = j1
+    return True
 
 
 def _assignment(rows) -> tuple[int, list[int]] | None:
     """Minimum-cost perfect assignment with None as a forbidden cell.
 
-    Shortest-augmenting-path method with dual potentials (the Hungarian
-    method in its O(n^3) form), run in exact integer arithmetic. Returns
-    (cost, match) with match[j] the row matched to column j, both counted
-    from 1 (match[0] is unused), or None when the finite cells admit no
-    perfect matching (the tropical determinant is then ε).
+    Rows 1..n each take one shortest augmenting path (``_augment``) over
+    all columns, starting from zero duals. Returns (cost, match) with
+    match[j] the row matched to column j, both counted from 1 (match[0]
+    is unused), or None when the finite cells admit no perfect matching
+    (the tropical determinant is then ε).
     """
     n = len(rows)
     u = [0] * (n + 1)
     v = [0] * (n + 1)
-    match = [0] * (n + 1)  # match[j] = row assigned to column j, 1-based, 0 = free
-    for i in range(1, n + 1):
-        match[0] = i
-        j0 = 0
-        minv: list[int | None] = [None] * (n + 1)
-        way = [0] * (n + 1)
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = match[j0]
-            delta: int | None = None
-            j1 = 0
-            base = u[i0]
-            row = rows[i0 - 1]
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cell = row[j - 1]
-                if cell is not None:
-                    cur = cell - base - v[j]
-                    if minv[j] is None or cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                if minv[j] is not None and (delta is None or minv[j] < delta):
-                    delta = minv[j]
-                    j1 = j
-            if delta is None:
-                return None  # Hall violation: no perfect matching on finite cells
-            for j in range(n + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                elif minv[j] is not None:
-                    minv[j] -= delta
-            j0 = j1
-            if match[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
-    return sum(rows[match[j] - 1][j - 1] for j in range(1, n + 1)), match
+    match = [0] * (n + 1)
+    cols = range(1, n + 1)
+    for i in cols:
+        if not _augment(rows, cols, u, v, match, i):
+            return None
+    return sum(rows[match[j] - 1][j - 1] for j in cols), match
 
 
 def tropdet_assignment(a: MinPlusMatrix) -> MinPlusValue:
@@ -162,21 +218,40 @@ def charpoly_tropdet(a: MinPlusMatrix, cap: int = SUBSET_CAP) -> MinPlusPolynomi
     """The characteristic polynomial tropdet(A ⊕ x⊗I), as coefficients.
 
     c_0 = 0 and c_j = min over size-j index subsets S of the tropical
-    determinant of A restricted to S, computed with the assignment solver
-    on the scaled int entries.
+    determinant of A restricted to S. The subsets are visited depth-first
+    in inclusion order, a child being S ∪ {k} with k > max S, and each
+    child's optimal assignment extends its parent's by one shortest
+    augmenting path (``_augment``, the step of ``_assignment``): the
+    child copies the parent's matching and duals, takes
+    v_k = min_{i∈S} a_ik - u_i so that column k is dual feasible, and
+    augments from row k, whose first round sets u_k = min_j a_kj - v_j.
+    That is one O(j^2) augmentation per subset, O(2^n·n^2) in all.
+
+    So that every parent has a perfect matching to extend, ε costs
+    2B+1 here, with B = Σ_i max_j |a_ij| over the finite cells (an all-ε
+    row adds 0): a permutation through finite cells costs at most B, and
+    one through an ε cell at least B+1, so a minor is finite iff its
+    optimal cost is at most B.
     """
     n = a.n
     _check_subset_cap(n, cap)
-    rows = a._ints
-    coeffs: list[int | None] = [0]
-    for j in range(1, n + 1):
-        best: int | None = None
-        for subset in combinations(range(n), j):
-            minor = [[rows[r][c] for c in subset] for r in subset]
-            solved = _assignment(minor)
-            if solved is not None and (best is None or solved[0] < best):
-                best = solved[0]
-        coeffs.append(best)
+    bound = sum(max((abs(w) for w in row if w is not None), default=0) for row in a._ints)
+    rows = [[2 * bound + 1 if w is None else w for w in row] for row in a._ints]
+    coeffs: list[int | None] = [0] + [None] * n
+    zeros = [0] * (n + 1)
+    # (the subset S as 1-based columns in increasing order, its cost, u, v, match)
+    stack = [((), 0, zeros, zeros, zeros)]
+    while stack:
+        subset, cost, u, v, match = stack.pop()
+        j = len(subset)
+        if j and cost <= bound and (coeffs[j] is None or cost < coeffs[j]):
+            coeffs[j] = cost
+        for k in range(subset[-1] + 1 if subset else 1, n + 1):
+            child = subset + (k,)
+            cu, cv, cm = u[:], v[:], match[:]
+            cv[k] = min((rows[i - 1][k - 1] - cu[i] for i in subset), default=0)
+            _augment(rows, child, cu, cv, cm, k)  # ε is finite here, so it always augments
+            stack.append((child, sum(rows[cm[c] - 1][c - 1] for c in child), cu, cv, cm))
     return MinPlusPolynomial._from_scaled(tuple(coeffs), a._d)
 
 

@@ -40,6 +40,8 @@ from minplus import charpoly as charpoly_module
 ENTRIES = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 13))
 # Few distinct small values: many principal minors tie, so many points (j, c_j) are collinear.
 TIED_ENTRIES = st.builds(Fraction, st.integers(-2, 2))
+# Magnitudes far past any fixed stand-in for ε: the subset scan's ε cost is derived from the entries.
+HUGE_ENTRIES = st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 13))
 
 
 @st.composite
@@ -97,6 +99,29 @@ def uncoverable_matrices(draw, max_n):
     return MinPlusMatrix([[None if i == blank else x for x in row] for i, row in enumerate(a.rows)])
 
 
+@st.composite
+def blanked_matrices(draw, max_n):
+    """A random matrix with a drawn set of rows and a drawn set of columns made all-ε."""
+    a = draw(matrices(max_n))
+    rows = draw(st.sets(st.integers(0, a.n - 1)))
+    cols = draw(st.sets(st.integers(0, a.n - 1)))
+    return MinPlusMatrix([[None if i in rows or j in cols else a[i, j] for j in range(a.n)] for i in range(a.n)])
+
+
+def charpoly_tropdet_from_scratch(a):
+    """c_j from one from-scratch assignment solve per j-by-j principal minor."""
+    rows = a._ints
+    coeffs = [E]
+    for j in range(1, a.n + 1):
+        best = EPSILON
+        for s in combinations(range(a.n), j):
+            solved = charpoly_module._assignment([[rows[r][c] for c in s] for r in s])
+            if solved is not None:
+                best = min(best, MinPlusValue(Fraction(solved[0], a._d)))
+        coeffs.append(best)
+    return tuple(coeffs)
+
+
 def hull_by_scan(a):
     return canonicalize(charpoly_tropdet(a))
 
@@ -146,6 +171,45 @@ def test_flv_matches_literal_trace_definition(a):
 @given(matrices(max_n=5))
 def test_tropdet_charpoly_matches_literal_definition(a):
     assert charpoly_tropdet(a).coeffs == tropdet_charpoly_by_definition(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        matrices(max_n=10),
+        matrices(max_n=10, entries=TIED_ENTRIES),
+        matrices(max_n=10, entries=HUGE_ENTRIES),
+        uncoverable_matrices(max_n=10),
+    )
+)
+def test_subset_scan_matches_from_scratch_solves(a):
+    # the scan extends each parent minor's assignment by one augmentation, with ε at a finite cost
+    assert charpoly_tropdet(a).coeffs == charpoly_tropdet_from_scratch(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(matrices(max_n=8), blanked_matrices(max_n=8), uncoverable_matrices(max_n=8)))
+def test_bruteforce_matches_literal_definition(a):
+    assert tropdet_bruteforce(a, cap=8) == tropdet_by_definition(a, range(a.n))
+
+
+def test_bruteforce_at_order_12_walks_only_finite_cells():
+    # finite cells on a permutation with cycles of lengths 5, 4 and 3, plus a loop at every
+    # vertex: each cycle is taken whole or left to its loops, so only 2^3 of the 12!
+    # permutations are finite. The cheaper side is the loops (5·-1 < 5·2), then the cycle
+    # (4·-1/2 < 4·3), then a tie (3·1/3 = 3·1/3): tropdet = -5 - 2 + 1 = -6.
+    sides = [
+        ((0, 1, 2, 3, 4), -1, 2),
+        ((5, 6, 7, 8), 3, Fraction(-1, 2)),
+        ((9, 10, 11), Fraction(1, 3), Fraction(1, 3)),
+    ]
+    rows = [[None] * 12 for _ in range(12)]
+    for cycle, loop, edge in sides:
+        for i, v in enumerate(cycle):
+            rows[v][v] = loop
+            rows[v][cycle[(i + 1) % len(cycle)]] = edge
+    a = MinPlusMatrix(rows)
+    assert tropdet_bruteforce(a, cap=12) == MinPlusValue(-6) == tropdet_assignment(a)
 
 
 @settings(max_examples=80, deadline=None)
