@@ -15,10 +15,14 @@ Two distinct constructions are provided:
 Every root of the first polynomial is fixed by the lower hull of the
 points (j, c_j) alone, that is by the function f(x) = tropdet(A ⊕ x⊗I) =
 min_j c_j + (n-j)·x. ``canonical_charpoly_tropdet`` finds that hull by
-parametric assignment (Eisner–Severance probing; Burkard & Butkovič,
-DAM 130, 2003; Gassner & Klinz, Networks 55, 2010), each probe one
-assignment solve on A ⊕ X⊗I, so it has no size cap; ``factor``,
-``roots``, ``plot-data`` and ``eigenvalue`` use it. The coefficients
+parametric assignment on A ⊕ X⊗I (Eisner–Severance probing; Burkard &
+Butkovič, DAM 130, 2003; Gassner & Klinz, Networks 55, 2010), in at most
+2n+1 probes, so it has no size cap; ``factor``, ``roots``, ``plot-data``
+and ``eigenvalue`` use it. It works in units of L·D with L = lcm(1..n),
+in which every probe point is an integer and a probe moves only the
+diagonal, and it keeps one optimal assignment and its duals across the
+probes: each probe re-augments only the rows whose diagonal change broke
+their dual constraint or their matched cell's tightness. The coefficients
 off the hull (the best principal submatrix problem, of open complexity)
 need the subset scan of ``charpoly_tropdet``, which ``charpoly`` and
 ``verify`` keep, under their cap. The scan costs one shortest augmenting
@@ -37,8 +41,8 @@ The tropical determinant itself comes in two independent implementations,
 a permutation brute force and a minimum-cost assignment solver, so each
 can serve as the other's oracle. The brute force walks only finite cells,
 so its work grows with the partial permutations through them (n! only on
-dense input). The solver and the subset scan share one augmentation step,
-``_augment``.
+dense input). The solver, the subset scan and the hull's probes share one
+augmentation step, ``_augment``.
 
 All inner loops run on Python ints, with None for ε: they read the
 matrix's own scaled int form (its entries times the least common multiple
@@ -51,6 +55,7 @@ exact rationals as a computation on Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import CapExceeded
 from .matrix import MinPlusMatrix, _int_product
@@ -255,46 +260,89 @@ def charpoly_tropdet(a: MinPlusMatrix, cap: int = SUBSET_CAP) -> MinPlusPolynomi
     return MinPlusPolynomial._from_scaled(tuple(coeffs), a._d)
 
 
+def _reprobe(rows, diagonal, u, v, match, p: int) -> tuple[int, int]:
+    """Move a kept optimal assignment to the diagonal min(a_ii, p).
+
+    rows holds the cells, with the diagonal as the last probe left it;
+    diagonal holds the cells a_ii (None for ε); u, v and match are the
+    duals and matching of ``_augment``, optimal for rows (all zero before
+    the first probe). A diagonal cell that is ε or above p takes x and costs p. Only
+    the diagonal moves, so only a row whose diagonal cell changed can lose
+    dual feasibility or tightness: its u_i drops to cell - v_i if the cell
+    fell below u_i + v_i, which keeps the rest of the row feasible, and the
+    row is freed if its matched cell is then not tight. Every free row is
+    re-augmented, in row order. Returns (cost, k): the optimal cost, and
+    how many matched diagonal cells took x.
+    """
+    n = len(rows)
+    cols = range(1, n + 1)
+    col = [0] * (n + 1)  # col[i]: the column matched to row i, 0 = free
+    for j in cols:
+        col[match[j]] = j
+    took_x = []
+    for i in cols:
+        row, cell = rows[i - 1], diagonal[i - 1]
+        if cell is None or cell > p:
+            cell = p
+            took_x.append(i)
+        if row[i - 1] == cell:
+            continue
+        row[i - 1] = cell
+        if u[i] + v[i] > cell:
+            u[i] = cell - v[i]
+        j = col[i]
+        if j and u[i] + v[j] != row[j - 1]:
+            match[j] = col[i] = 0
+    for i in cols:
+        if not col[i]:
+            _augment(rows, cols, u, v, match, i)  # the finite diagonal always admits a matching
+    return sum(rows[match[j] - 1][j - 1] for j in cols), sum(match[i] == i for i in took_x)
+
+
 def canonical_charpoly_tropdet(a: MinPlusMatrix) -> MinPlusPolynomial:
-    """canonicalize(charpoly_tropdet(a)), from at most 2n+1 assignment solves.
+    """canonicalize(charpoly_tropdet(a)), from at most 2n+1 probes of one assignment.
 
     Eisner–Severance probing of f(x) = tropdet(A ⊕ x⊗I) (see the module
-    docstring): each probe at X = p/q, in D-scaled units, solves the
-    assignment problem on q·A with min(q·a_ii, p) on the diagonal. If k
-    matched diagonal cells took x, the optimal matching is the supporting
-    line c_j + (n-j)·x with j = n-k and c_j = (cost - k·p)/q. The first
-    probe, beyond every breakpoint, finds the largest coverable j; then
-    each probe at the meeting point of two hull lines either finds a point
-    strictly below both (a new corner: search both sides) or confirms the
-    meeting point as a breakpoint. No size cap applies.
+    docstring), in units of L·D with L = lcm(1..n): every probe point
+    X = p/q has q <= n, so it is the integer P = p·L/q, and the probe
+    solves the assignment problem on L·A with min(L·a_ii, P) on the
+    diagonal. If k matched diagonal cells took x, the optimal matching is
+    the supporting line c_j + (n-j)·x with j = n-k and c_j = (cost - k·P)/L.
+    One matching and its duals are kept from probe to probe, and a probe
+    re-augments only the rows its diagonal change unsettles (``_reprobe``).
+
+    The first probe, beyond every breakpoint, finds the largest coverable
+    j; then each probe at the meeting point of the lines of two hull points
+    i < k either finds a point strictly below both (a new corner: search
+    both sides) or confirms the meeting point as a breakpoint. A probe with
+    k = i+1 can only confirm, and is skipped: a point strictly below both
+    lines at their meeting point lies strictly below the chord from i to k,
+    and every point outside [i, k] lies on or above that chord, because i
+    and k are on the lower hull. No size cap applies.
     """
     n = a.n
-    rows = a._ints
+    unit = lcm(*range(1, n + 1))
+    rows = [[None if w is None else unit * w for w in row] for row in a._ints]
+    diagonal = [row[i] for i, row in enumerate(rows)]
+    u, v, match = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
 
-    def probe(p: int, q: int) -> tuple[int, int, int]:
-        """(q·f(p/q), j, c_j) for a supporting line of f at p/q."""
-        scaled = [[None if w is None else q * w for w in row] for row in rows]
-        took_x = []
-        for i, row in enumerate(scaled):
-            if row[i] is None or row[i] > p:
-                row[i] = p
-                took_x.append(i)
-        cost, match = _assignment(scaled)  # the x diagonal always admits a matching
-        k = sum(match[i + 1] == i + 1 for i in took_x)
-        return cost, n - k, (cost - k * p) // q
+    def probe(p: int) -> tuple[int, int, int]:
+        """(L·f(p/L), j, c_j) for a supporting line of f at p/L."""
+        cost, k = _reprobe(rows, diagonal, u, v, match, p)
+        return cost, n - k, (cost - k * p) // unit
 
     # past X the lines' x-terms outweigh any coefficient gap, |c_j - c_i| <= 2n·max|a|
-    reach = 2 * n * max((abs(w) for row in rows for w in row if w is not None), default=0) + 1
-    _, r, c_r = probe(reach, 1)
+    reach = 2 * n * max((abs(w) for row in a._ints for w in row if w is not None), default=0) + 1
+    _, r, c_r = probe(reach * unit)
     points = {0: 0, r: c_r}
-    pending = [(0, r)] if r else []
+    pending = [(0, r)] if r > 1 else []
     while pending:
         i, k = pending.pop()
-        p, q = points[k] - points[i], k - i  # the lines of i and k meet at p/q
-        cost, j, c_j = probe(p, q)
-        if cost < q * points[i] + (n - i) * p:
+        p = (points[k] - points[i]) * unit // (k - i)  # the lines of i and k meet at p/L
+        cost, j, c_j = probe(p)
+        if cost < unit * points[i] + (n - i) * p:
             points[j] = c_j
-            pending += [(i, j), (j, k)]
+            pending += [(s, t) for s, t in ((i, j), (j, k)) if t - s > 1]
     coeffs = tuple(points.get(j) for j in range(n + 1))
     return canonicalize(MinPlusPolynomial._from_scaled(coeffs, a._d))
 

@@ -3,10 +3,12 @@
 The kernels in ``minplus.charpoly`` run on LCM-scaled ints; these tests
 compare them with oracles written on the public min-plus value and matrix
 operations, compare the parametric-assignment hull with the canonical
-form of the subset scan, and check metamorphic identities of both
-polynomials on ε-heavy matrices with mixed denominators.
+form of the subset scan and with probing by from-scratch solves, and
+check metamorphic identities of both polynomials on ε-heavy matrices
+with mixed denominators.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 from unittest import mock
@@ -20,6 +22,7 @@ from minplus import (
     EPSILON,
     E,
     MinPlusMatrix,
+    MinPlusPolynomial,
     MinPlusValue,
     canonical_charpoly_tropdet,
     canonicalize,
@@ -35,6 +38,8 @@ from minplus import (
     tropdet_bruteforce,
 )
 from minplus import charpoly as charpoly_module
+
+from conftest import random_matrix
 
 # Denominators 1..13 make the scaling factor D (their LCM) as large as 360360.
 ENTRIES = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 13))
@@ -126,18 +131,61 @@ def hull_by_scan(a):
     return canonicalize(charpoly_tropdet(a))
 
 
+def hull_from_scratch(a):
+    """The parametric hull with one from-scratch assignment solve per probe.
+
+    The same Eisner–Severance probing as ``canonical_charpoly_tropdet``,
+    without its shared state or its skipped probes: the probe at X = p/q
+    solves the assignment problem on q·A with min(q·a_ii, p) on the diagonal.
+    """
+    n = a.n
+    rows = a._ints
+
+    def probe(p, q):
+        scaled = [[None if w is None else q * w for w in row] for row in rows]
+        took_x = []
+        for i, row in enumerate(scaled):
+            if row[i] is None or row[i] > p:
+                row[i] = p
+                took_x.append(i)
+        cost, match = charpoly_module._assignment(scaled)
+        k = sum(match[i + 1] == i + 1 for i in took_x)
+        return cost, n - k, (cost - k * p) // q
+
+    reach = 2 * n * max((abs(w) for row in rows for w in row if w is not None), default=0) + 1
+    _, r, c_r = probe(reach, 1)
+    points = {0: 0, r: c_r}
+    pending = [(0, r)] if r else []
+    while pending:
+        i, k = pending.pop()
+        p, q = points[k] - points[i], k - i
+        cost, j, c_j = probe(p, q)
+        if cost < q * points[i] + (n - i) * p:
+            points[j] = c_j
+            pending += [(i, j), (j, k)]
+    return canonicalize(MinPlusPolynomial._from_scaled(tuple(points.get(j) for j in range(n + 1)), a._d))
+
+
 def hull_by_probes(a):
-    """canonical_charpoly_tropdet(a), failing as soon as it needs more than 2n+1 assignment solves."""
-    solve = charpoly_module._assignment
-    calls = 0
+    """canonical_charpoly_tropdet(a), failing as soon as it takes more than 2n+1
+    probes, or more than n augmentations in one probe."""
+    reprobe, augment = charpoly_module._reprobe, charpoly_module._augment
+    probes = augments = 0
 
-    def counted(rows):
-        nonlocal calls
-        calls += 1
-        assert calls <= 2 * a.n + 1, "more than 2n+1 probes"
-        return solve(rows)
+    def counted_reprobe(*args):
+        nonlocal probes, augments
+        probes += 1
+        assert probes <= 2 * a.n + 1, "more than 2n+1 probes"
+        augments = 0
+        return reprobe(*args)
 
-    with mock.patch.object(charpoly_module, "_assignment", counted):
+    def counted_augment(*args):
+        nonlocal augments
+        augments += 1
+        assert augments <= a.n, "more than n augmentations in one probe"
+        return augment(*args)
+
+    with mock.patch.multiple(charpoly_module, _reprobe=counted_reprobe, _augment=counted_augment):
         return canonical_charpoly_tropdet(a)
 
 
@@ -222,6 +270,27 @@ def test_assignment_matches_bruteforce(a):
 @given(st.one_of(matrices(max_n=9), matrices(max_n=9, entries=TIED_ENTRIES), uncoverable_matrices(max_n=9)))
 def test_parametric_hull_matches_canonical_subset_scan(a):
     assert hull_by_probes(a) == hull_by_scan(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        matrices(max_n=9),
+        matrices(max_n=9, entries=TIED_ENTRIES),
+        matrices(max_n=9, entries=HUGE_ENTRIES),
+        uncoverable_matrices(max_n=9),
+    )
+)
+def test_warm_hull_matches_from_scratch_probing(a):
+    # one kept assignment, re-augmented on the rows each probe unsettles, against a solve per probe
+    assert hull_by_probes(a) == hull_from_scratch(a)
+
+
+@pytest.mark.parametrize("n", [10, 12, 16, 20, 24, 32, 48, 64])
+def test_warm_hull_matches_from_scratch_probing_up_to_order_64(n):
+    rng = random.Random(n)
+    a = random_matrix(rng, n, density=rng.choice((0.1, 0.3, 0.6, 1.0)))
+    assert hull_by_probes(a) == hull_from_scratch(a)
 
 
 @pytest.mark.parametrize("n", range(1, 10))

@@ -1,6 +1,8 @@
 """Golden-output tests for the CLI on the 7x7 worked example: the full JSON
-stdout of `verify` and of `charpoly --method both --canonical`, byte for
-byte, so a kernel change that alters any reported figure fails here."""
+stdout of `verify`, of `charpoly --method both --canonical` and of the four
+commands that read the parametric hull (`factor`, `roots`, `plot-data` and
+`eigenvalue --method all`), byte for byte, so a kernel change that alters
+any reported figure fails here."""
 
 from pathlib import Path
 
@@ -17,6 +19,10 @@ EXAMPLE = "demos/data/worked_example_7x7.txt"
     [
         ("verify", ("verify", "--format", "json", EXAMPLE)),
         ("charpoly", ("charpoly", "--method", "both", "--canonical", "--format", "json", EXAMPLE)),
+        ("factor", ("factor", "--format", "json", EXAMPLE)),
+        ("roots", ("roots", "--format", "json", EXAMPLE)),
+        ("plot-data", ("plot-data", "--format", "json", EXAMPLE)),
+        ("eigenvalue", ("eigenvalue", "--method", "all", "--format", "json", EXAMPLE)),
     ],
 )
 def test_worked_example_prints_golden_json(name, argv, capsys, monkeypatch):
