@@ -59,7 +59,7 @@ from math import lcm
 
 from .errors import CapExceeded
 from .matrix import MinPlusMatrix, _int_product
-from .polynomial import MinPlusPolynomial, canonicalize
+from .polynomial import MinPlusPolynomial, _hull_corners, _require_monic, canonicalize
 from .semiring import EPSILON, MinPlusValue, _unscaled
 
 __all__ = [
@@ -392,14 +392,9 @@ def eigenvalue_from_charpoly(p: MinPlusPolynomial) -> MinPlusValue:
 
     The leading line n*x is the strict minimum for very negative x, so the
     first breakpoint sits where some line c_j + (n-j)*x first catches it,
-    at x = c_j / j. Returns ε when c_1..c_n are all ε (no breakpoints).
+    at x = c_j / j: the slope of the lower hull's first segment, from
+    (0, 0). Returns ε when c_1..c_n are all ε (no breakpoints).
     """
-    if not p.is_monic:
-        raise ValueError("polynomial must be monic (leading coefficient 0)")
-    best: tuple[int, int] | None = None  # (c_j·D, j): the ratio c_j·D / j, compared cross-multiplied
-    for j, c in enumerate(p._ints):
-        if j == 0 or c is None:
-            continue
-        if best is None or c * best[1] < best[0] * j:
-            best = (c, j)
-    return EPSILON if best is None else MinPlusValue(Fraction(best[0], best[1] * p._d))
+    _require_monic(p)
+    corners = _hull_corners(p)
+    return EPSILON if len(corners) == 1 else MinPlusValue(Fraction(corners[1][1], corners[1][0] * p._d))

@@ -344,13 +344,10 @@ def main(argv=None) -> int:
         # the reader closed stdout early (as `| head` does): send the rest to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except ValueError as exc:
+    except ValueError as exc:  # ParseError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

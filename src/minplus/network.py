@@ -9,11 +9,11 @@ graph data. `verify_matrix` runs every check on one matrix from one
 computation of each polynomial, one component pass and one subset dynamic
 program over the graph; it lists no circuits.
 
-A network stores its edges once, at construction, in the scaled int form
-a matrix uses: (tail, head, weight times D) with D the least common
-multiple of the weights' reduced denominators, so a network built from a
-matrix has the matrix's D. Every kernel here reads that form and builds
-Fractions only for the values it returns.
+A network stores its graph once, at construction, as one int adjacency:
+each vertex's (head, weight times D) pairs in head order, with D the least
+common multiple of the weights' reduced denominators, so a network built
+from a matrix has the matrix's D. Every kernel here reads that adjacency;
+Fractions appear only in ``edges``, in each ``Circuit`` and in results.
 
 Vertices are labeled 1..m throughout, matching the adjacency-matrix rows.
 """
@@ -69,10 +69,12 @@ class Network:
 
     m: int
     edges: tuple[tuple[int, int, Fraction], ...]
-    _ints: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
+    _succ: dict[int, tuple[tuple[int, int], ...]] = field(init=False, repr=False, compare=False)
     _d: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.m, int) or isinstance(self.m, bool):
+            raise TypeError(f"vertex count must be an int, not {self.m!r}")
         if self.m < 0:
             raise ValueError("vertex count must be nonnegative")
         seen = set()
@@ -85,8 +87,11 @@ class Network:
             seen.add((tail, head))
             normalized.append((tail, head, _finite(weight)))
         d = _common_denominator(_ratio(w) for _, _, w in normalized)
+        succ: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, self.m + 1)}
+        for tail, head, weight in normalized:
+            succ[tail].append((head, _scaled(_ratio(weight), d)))
         object.__setattr__(self, "edges", tuple(normalized))
-        object.__setattr__(self, "_ints", tuple((t, h, _scaled(_ratio(w), d)) for t, h, w in normalized))
+        object.__setattr__(self, "_succ", {v: tuple(sorted(pairs)) for v, pairs in succ.items()})
         object.__setattr__(self, "_d", d)
 
     def successors(self) -> dict[int, list[tuple[int, Fraction]]]:
@@ -202,13 +207,13 @@ def network_from_matrix(a: MinPlusMatrix) -> Network:
 
 def matrix_from_network(net: Network) -> MinPlusMatrix:
     """Weighted adjacency matrix; inverse of network_from_matrix."""
-    rows: list[list[Fraction | None]] = [[None] * net.m for _ in range(net.m)]
-    for tail, head, weight in net.edges:
-        rows[tail - 1][head - 1] = weight
-    return MinPlusMatrix(rows)
+    if net.m == 0:
+        raise ValueError("matrix order must be at least 1")
+    heads = [dict(pairs) for pairs in net._succ.values()]
+    return MinPlusMatrix._from_scaled(tuple(tuple(map(row.get, range(1, net.m + 1))) for row in heads), net._d)
 
 
-def _strongly_connected_components(succ: dict[int, list[tuple[int, Fraction]]]) -> list[list[int]]:
+def _strongly_connected_components(succ: dict[int, tuple[tuple[int, int], ...]]) -> list[list[int]]:
     """Tarjan's algorithm, iterative, on the subgraph induced by the keys of succ."""
     index: dict[int, int] = {}
     low: dict[int, int] = {}
@@ -262,36 +267,38 @@ def _strongly_connected_components(succ: dict[int, list[tuple[int, Fraction]]]) 
 def _edges_by_component(net: Network) -> list[list[tuple[int, int, int]]]:
     """The internal edges of each strongly connected component that has
     one, with their weights times D."""
-    components = _strongly_connected_components(net.successors())
+    components = _strongly_connected_components(net._succ)
     component = {v: ci for ci, members in enumerate(components) for v in members}
     inside: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-    for tail, head, weight in net._ints:
-        if component[tail] == component[head]:
-            inside[component[tail]].append((tail, head, weight))
-    return list(inside.values())
+    for tail, pairs in net._succ.items():
+        inside[component[tail]].extend((tail, h, w) for h, w in pairs if component[h] == component[tail])
+    return [edges for edges in inside.values() if edges]
 
 
-def _circuits_through(start: int, succ: dict[int, list[tuple[int, Fraction]]]):
-    """Johnson's blocking search, on an explicit stack: the vertex tuple of
-    every elementary circuit through start inside succ, start first."""
+def _circuits_through(start: int, succ: dict[int, list[tuple[int, int]]]):
+    """Johnson's blocking search, on an explicit stack: (vertex tuple, int
+    weight) of every elementary circuit through start inside succ, start first."""
     blocked = {start}
     block_map: dict[int, set[int]] = defaultdict(set)
     path = [start]
+    sums = [0]  # sums[i]: the weight of the path's first i edges
     work = [iter(succ[start])]
     found = [False]
     while work:
-        for head, _ in work[-1]:
+        for head, weight in work[-1]:
             if head == start:
-                yield tuple(path)
+                yield tuple(path), sums[-1] + weight
                 found[-1] = True
             elif head not in blocked:
                 path.append(head)
+                sums.append(sums[-1] + weight)
                 blocked.add(head)
                 work.append(iter(succ[head]))
                 found.append(False)
                 break
         else:
             v = path.pop()
+            sums.pop()
             work.pop()
             if found.pop():
                 release = [v]
@@ -317,17 +324,14 @@ def enumerate_circuits(net: Network, cap: int = CIRCUIT_CAP) -> list[Circuit]:
     from its smallest vertex, so it comes out already in canonical
     rotation. Results are sorted by (length, vertex sequence).
     """
-    weight_of = {(t, h): w for t, h, w in net._ints}
-    adj = net.successors()
     circuits: list[Circuit] = []
-    pending = [adj]
+    pending = [net._succ]
     while pending:
         for component in _strongly_connected_components(pending.pop()):
             start = min(component)
             inside = set(component)
-            succ = {v: [(h, w) for h, w in adj[v] if h in inside] for v in component}
-            for cycle in _circuits_through(start, succ):
-                total = sum(weight_of[edge] for edge in zip(cycle, cycle[1:] + cycle[:1]))
+            succ = {v: [(h, w) for h, w in net._succ[v] if h in inside] for v in component}
+            for cycle, total in _circuits_through(start, succ):
                 circuits.append(Circuit(vertices=cycle, weight=Fraction(total, net._d)))
                 if len(circuits) > cap:
                     raise CapExceeded(
@@ -449,7 +453,8 @@ def enumerate_extended_circuits(
 def _family_minima(net: Network) -> dict[int, Fraction]:
     """Least weight of a vertex-disjoint circuit family of total length j,
     for each j that has one, by one dynamic program over vertex subsets S
-    (bitmasks) on the network's int weights; no circuit is listed.
+    (bitmasks, bit v for vertex v) on the network's int adjacency; no
+    circuit is listed.
 
     Order a family's circuits by decreasing lowest vertex: the family is
     then built in exactly one way, opening each circuit at its lowest
@@ -465,30 +470,28 @@ def _family_minima(net: Network) -> dict[int, Fraction]:
     and closed[S] is the least weight of a family covering exactly S. Each
     step goes to a larger mask, so one ascending pass takes O(2^n · m).
     """
-    out: list[list[tuple[int, int]]] = [[] for _ in range(net.m)]
-    into: list[dict[int, int]] = [{} for _ in range(net.m)]
-    for tail, head, weight in net._ints:
-        out[tail - 1].append((head - 1, weight))
-        into[head - 1][tail - 1] = weight
-    paths: dict[int, dict[int, int]] = {1 << u: {u: 0} for u in range(net.m)}
+    succ = net._succ
+    paths: dict[int, dict[int, int]] = {1 << u: {u: 0} for u in succ}
     minima: dict[int, int] = {}
-    for s in range(1, 1 << net.m):
+    for s in range(2, 2 << net.m, 2):
         ends = paths.pop(s, None)
         if ends is None:
             continue
         low = (s & -s).bit_length() - 1
+        closed = None
         for v, total in ends.items():
-            for u, weight in out[v]:
+            for u, weight in succ[v]:
                 if u > low and not s >> u & 1:
                     target = paths.setdefault(s | 1 << u, {})
                     if u not in target or total + weight < target[u]:
                         target[u] = total + weight
-        closed = min((total + into[low][v] for v, total in ends.items() if v in into[low]), default=None)
+                elif u == low and (closed is None or total + weight < closed):
+                    closed = total + weight
         if closed is None:
             continue
         j = s.bit_count()
         minima[j] = min(closed, minima.get(j, closed))
-        for u in range(low):
+        for u in range(1, low):
             target = paths.setdefault(s | 1 << u, {})
             if u not in target or closed < target[u]:
                 target[u] = closed
@@ -677,5 +680,4 @@ def plant_separated_instance(
                     if rng.random() < extra_edge_probability:
                         edges[(u, v)] = Fraction(rng.randint(-9, 12))
 
-    net = Network(m=n, edges=tuple((t, h, w) for (t, h), w in sorted(edges.items())))
-    return matrix_from_network(net), planted
+    return MinPlusMatrix([[edges.get((t, h)) for h in range(1, n + 1)] for t in range(1, n + 1)]), planted

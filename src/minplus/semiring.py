@@ -116,6 +116,10 @@ def _parse_token(token: str) -> Fraction | None:
     if lowered in _EPSILON_TOKENS:
         return None
     try:
+        # Fraction reads "_" digit separators from Python 3.11 on only: they
+        # are refused on every version, so the token language is one
+        if "_" in text:
+            raise ValueError("digit separator")
         # Fraction builds 10**exponent whatever its size: an exponent past
         # Python's default int-to-string digit limit is refused, as a longer
         # mantissa already is

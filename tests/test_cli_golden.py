@@ -1,8 +1,8 @@
 """Golden-output tests for the CLI on the 7x7 worked example: the full JSON
 stdout of `verify`, of `charpoly --method both --canonical` and of the four
 commands that read the parametric hull (`factor`, `roots`, `plot-data` and
-`eigenvalue --method all`), byte for byte, so a kernel change that alters
-any reported figure fails here."""
+`eigenvalue --method all`), and the JSON and TSV stdout of `circuits`, byte
+for byte, so a kernel change that alters any reported figure fails here."""
 
 from pathlib import Path
 
@@ -29,4 +29,12 @@ def test_worked_example_prints_golden_json(name, argv, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)  # the report names its input path as given
     assert main(list(argv)) == 0
     expected = (ROOT / "tests" / "data" / "cli" / f"worked_example_7x7.{name}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_worked_example_prints_golden_circuits(fmt, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert main(["circuits", "--format", fmt, EXAMPLE]) == 0
+    expected = (ROOT / "tests" / "data" / "cli" / f"worked_example_7x7.circuits.{fmt}").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected

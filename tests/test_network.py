@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -7,6 +8,7 @@ from itertools import combinations, permutations
 import pytest
 
 from minplus import network
+from minplus.cli import main
 from minplus import (
     CapExceeded,
     Circuit,
@@ -77,6 +79,14 @@ def test_network_validation():
         with pytest.raises(ValueError, match="finite"):
             Network(m=1, edges=((1, 1, weight),))
     assert Network(m=1, edges=((1, 1, "7/2"),)).edges == ((1, 1, Fraction(7, 2)),)
+    # the vertex count is an int, as a value is never a bool
+    for m in (2.5, 2.0, True, False, "2", Fraction(2), None):
+        with pytest.raises(TypeError, match="vertex count"):
+            Network(m=m, edges=())
+    with pytest.raises(ValueError, match="nonnegative"):
+        Network(m=-1, edges=())
+    with pytest.raises(ValueError, match="order"):
+        matrix_from_network(Network(m=0, edges=()))
 
 
 def test_circuit_type_invariants():
@@ -124,12 +134,19 @@ def test_network_holds_the_scaled_form_of_its_matrix():
             )
         net = network_from_matrix(a)
         assert net._d == a._d
-        assert net._ints == tuple(
-            (i, j, w) for i, row in enumerate(a._ints, start=1) for j, w in enumerate(row, start=1) if w is not None
-        )
-        rebuilt = Network(m=a.n, edges=net.edges)
-        assert rebuilt == net and hash(rebuilt) == hash(net)
-        assert (rebuilt._ints, rebuilt._d) == (net._ints, net._d)
+        # _succ[v]: row v's finite cells in column order, at the matrix's D
+        assert net._succ == {
+            i: tuple((j, w) for j, w in enumerate(row, start=1) if w is not None)
+            for i, row in enumerate(a._ints, start=1)
+        }
+        back = matrix_from_network(net)
+        assert (back._ints, back._d) == (a._ints, a._d)
+        # the same edges in any order give the same adjacency
+        shuffled = list(net.edges)
+        random.Random(k).shuffle(shuffled)
+        rebuilt = Network(m=a.n, edges=tuple(shuffled))
+        assert rebuilt.edges == tuple(shuffled)
+        assert (rebuilt._succ, rebuilt._d) == (net._succ, net._d)
 
 
 def test_network_equality_hash_and_repr_see_only_m_and_edges():
@@ -137,7 +154,12 @@ def test_network_equality_hash_and_repr_see_only_m_and_edges():
     assert [f.name for f in dataclasses.fields(net) if f.compare] == ["m", "edges"]
     assert repr(net) == f"Network(m=2, edges={net.edges!r})"
     assert hash(net) == hash((2, net.edges))
-    assert (net._ints, net._d) == (((1, 2, 1), (2, 1, 6)), 2)
+    assert (net._succ, net._d) == ({1: ((2, 1),), 2: ((1, 6),)}, 2)
+    assert net.successors() == {1: [(2, Fraction(1, 2))], 2: [(1, Fraction(3))]}
+    back = matrix_from_network(net)
+    assert (back._ints, back._d) == (((None, 1), (6, None)), 2)
+    unordered = Network(m=3, edges=((3, 1, 2), (1, 3, Fraction(1, 3)), (1, 2, 5), (3, 3, 0)))
+    assert (unordered._succ, unordered._d) == ({1: ((2, 15), (3, 1)), 2: (), 3: ((1, 6), (3, 0))}, 3)
     with pytest.raises(dataclasses.FrozenInstanceError):
         net.m = 3
 
@@ -347,6 +369,29 @@ def test_verify_lists_no_circuits(monkeypatch, example7):
         assert all(r.passed or r.check == "corollary_equivalence" for r in network.verify_matrix(a, 9, 16))
         assert coefficient_check(a).passed
         assert verify_separated_factorization(a).passed
+
+
+def test_graph_commands_read_only_the_int_adjacency(monkeypatch, tmp_path, capsys, example7):
+    # Network.successors builds a Fraction adjacency for callers; no kernel reads it
+    def refuse(self):
+        raise AssertionError("Network.successors called")
+
+    monkeypatch.setattr(Network, "successors", refuse)
+    rng = random.Random(20261104)
+    matrices = [example7] + [
+        MinPlusMatrix(
+            [[Fraction(rng.randint(-9, 20), rng.randint(1, 4)) if rng.random() < 0.25 else EPS for _ in range(n)]
+             for _ in range(n)]
+        )
+        for n in (1, 3, 5, 8, 12)
+    ]
+    for k, a in enumerate(matrices):
+        path = tmp_path / f"m{k}.json"
+        path.write_text(json.dumps(a.to_json()), encoding="utf-8")
+        for argv in (["circuits", "--format", "json"], ["verify"], ["eigenvalue", "--method", "karp"]):
+            code = main([*argv, str(path)])
+            out, err = capsys.readouterr()
+            assert code in (0, 4) and err == "" and out, (argv, k, code, err)
 
 
 def test_coefficient_check_golden(example7):

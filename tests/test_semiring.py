@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ from minplus import (
     MinPlusValue,
     ParseError,
     oplus,
+    parse_matrix,
+    parse_polynomial,
     otimes,
     otimes_inverse,
     parse_value,
@@ -95,6 +98,23 @@ def test_parse_rejects_garbage():
         parse_value("1/0")
     with pytest.raises(ParseError):
         parse_value("abc")
+
+
+@pytest.mark.parametrize("token", ["1_000", "1_0/3", "2/1_0", "2_5/2", "1e1_0", "-1_5.5", "_1", "1_"])
+def test_digit_separators_are_not_min_plus_values(token):
+    # Fraction reads "_" separators on Python 3.11 and later only; the token language has none on any version
+    with pytest.raises(ParseError, match="not a min-plus value"):
+        parse_value(token)
+    with pytest.raises(ParseError) as err:
+        parse_matrix(f"0 inf\ninf {token}\n")
+    assert str(err.value) == f"bad matrix entry {token!r} (line 2, column 2)"
+    assert (err.value.line, err.value.column) == (2, 2)
+    with pytest.raises(ParseError) as err:
+        parse_matrix(json.dumps({"rows": [[0, "inf"], ["inf", token]]}))
+    assert str(err.value) == f"bad matrix entry {token!r}: not a min-plus value: {token!r} (line 2, column 2)"
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(json.dumps({"coeffs": [0, token]}))
+    assert str(err.value) == f"bad coefficient {token!r} at index 1: not a min-plus value: {token!r}"
 
 
 def test_float_inputs_rejected():

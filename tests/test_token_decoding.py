@@ -1,4 +1,5 @@
-"""Every file decoder reads a token as Fraction(token) does.
+"""Every file decoder reads a token as Fraction(token) does, except that
+a "_" digit separator is refused on every Python version.
 
 The text-matrix, JSON-matrix and polynomial decoders take ASCII
 [-]digits and [-]digits/digits tokens straight to ints and every other
@@ -34,6 +35,8 @@ def reference(token):
     text = token.strip()
     if text.lower() in EPSILON_SPELLINGS:
         return None
+    if "_" in text:
+        raise ValueError("digit separator")
     _, marker, exponent = text.lower().partition("e")
     if marker and abs(int(exponent)) > EXPONENT_LIMIT:
         raise ValueError("exponent too large")
