@@ -94,11 +94,10 @@ def tropdet_bruteforce(a: MinPlusMatrix, cap: int = BRUTE_FORCE_CAP) -> MinPlusV
             f"brute-force tropical determinant is capped at order {cap} "
             f"(got {n}); use tropdet_assignment instead"
         )
-    rows = a._ints
     if n == 1:
-        return _unscaled(rows[0][0], a._d)
-    cells = [[(j, w) for j, w in enumerate(row) if w is not None] for row in rows[:-1]]
-    last = rows[-1]
+        return _unscaled(a._ints[0][0], a._d)
+    cells = a._cells
+    last = a._ints[-1]
     taken = [False] * n
     left = n * (n - 1) // 2  # the sum of the columns not taken
     sums = [0]  # sums[i]: the sum of the cells taken in rows 0..i-1
@@ -347,19 +346,18 @@ def canonical_charpoly_tropdet(a: MinPlusMatrix) -> MinPlusPolynomial:
     return canonicalize(MinPlusPolynomial._from_scaled(coeffs, a._d))
 
 
-def _closed_walk_minima(rows) -> list[int | None]:
-    """t_k = Tr(A^k) for k = 1..n: the least weight of a closed k-walk.
+def _closed_walk_minima(a: MinPlusMatrix) -> list[int | None]:
+    """t_k = Tr(A^k) for k = 1..n, times D: the least weight of a closed k-walk.
 
     Index 0 holds None (unused). Each power is one min-plus product
-    P ⊗ A on plain lists, relaxing only the finite entries of A.
+    P ⊗ A on plain lists, relaxing only the finite cells of A.
     """
-    n = len(rows)
-    succ = [[(j, w) for j, w in enumerate(row) if w is not None] for row in rows]
+    n = a.n
     traces: list[int | None] = [None]
-    power = rows
+    power = a._ints
     for k in range(1, n + 1):
         if k > 1:
-            power = _int_product(power, succ)
+            power = _int_product(power, a._cells)
         diagonal = [power[i][i] for i in range(n) if power[i][i] is not None]
         traces.append(min(diagonal) if diagonal else None)
     return traces
@@ -374,7 +372,7 @@ def charpoly_flv(a: MinPlusMatrix) -> MinPlusPolynomial:
     c_k = t_k ⊕ c_1⊗t_{k-1} ⊕ ... ⊕ c_{k-1}⊗t_1, i.e.
     c_k = min(t_k, min_{0<l<k} c_l + t_{k-l}), computed here on ints.
     """
-    t = _closed_walk_minima(a._ints)
+    t = _closed_walk_minima(a)
     c: list[int | None] = [0]
     for k in range(1, a.n + 1):
         best = t[k]

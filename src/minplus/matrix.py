@@ -11,12 +11,23 @@ entries (1 when there are none). D is canonical, so equal matrices have
 equal forms. The parsers build that form straight from the distinct
 tokens of the input; the entries as min-plus values (``rows``) are built
 only when asked for.
+
+The finite cells have one view of their own, ``_cells``: per row, the
+(column, weight times D) pairs of its finite entries in column order,
+columns from 0. The text parser hands the view over with the ints. A wide
+row with few distinct finite values has its finite columns found as it is
+read, in one C-level pass, and its int row is filled from its cells; any
+other row is mapped whole, and its cells are read off its ints. So an
+ε-heavy matrix reaches its graph (``network_from_matrix``) and the product
+kernels with Python work in its finite cells, not in all n² entries. Every
+other matrix builds the view from its ints on first use.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import ParseError, decode_json
 from .semiring import (
@@ -47,7 +58,7 @@ __all__ = [
 class MinPlusMatrix:
     """An n-by-n matrix of min-plus values, held as (ints, D)."""
 
-    __slots__ = ("_ints", "_d", "_rows")
+    __slots__ = ("_ints", "_d", "_rows", "_cell_rows")
 
     def __init__(self, rows):
         values = tuple(tuple(_ratio(_rational(x)) for x in row) for row in rows)
@@ -60,19 +71,38 @@ class MinPlusMatrix:
         d = _common_denominator(chain.from_iterable(values))
         self._ints = tuple(tuple(_scaled(pair, d) for pair in row) for row in values)
         self._d = d
-        self._rows = None
+        self._rows = self._cell_rows = None
 
     @classmethod
-    def _from_scaled(cls, ints, d: int) -> "MinPlusMatrix":
+    def _from_scaled(cls, ints, d: int, cells=None) -> "MinPlusMatrix":
         """The matrix ints / d from a square tuple of int-or-None tuples,
-        with nothing coerced; d and the entries are divided by their common
-        factor, so D is canonical."""
-        g = gcd(d, *filter(None, chain.from_iterable(ints))) if d > 1 else 1
-        if g > 1:
-            ints = tuple(tuple(None if w is None else w // g for w in row) for row in ints)
+        with nothing coerced; cells, when given, is its ``_cells`` view.
+        d and the entries are divided by their common factor, taken over
+        the finite cells, so D is canonical."""
+        if d > 1:
+            if cells is None:
+                g = gcd(d, *filter(None, chain.from_iterable(ints)))
+            else:
+                g = gcd(d, *map(itemgetter(1), chain.from_iterable(cells)))
+            if g > 1:
+                ints = tuple(tuple(None if w is None else w // g for w in row) for row in ints)
+                if cells is not None:
+                    cells = tuple(tuple((j, w // g) for j, w in row) for row in cells)
+                d //= g
         matrix = object.__new__(cls)
-        matrix._ints, matrix._d, matrix._rows = ints, d // g, None
+        matrix._ints, matrix._d, matrix._rows, matrix._cell_rows = ints, d, None, cells
         return matrix
+
+    @property
+    def _cells(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per row, the (column, weight times D) pairs of its finite
+        entries, in column order; built from the ints on first use unless
+        the parser handed them over."""
+        if self._cell_rows is None:
+            self._cell_rows = tuple(
+                tuple((j, w) for j, w in enumerate(row) if w is not None) for row in self._ints
+            )
+        return self._cell_rows
 
     @property
     def n(self) -> int:
@@ -156,7 +186,8 @@ def mat_otimes(a: MinPlusMatrix, b: MinPlusMatrix) -> MinPlusMatrix:
     """Min-plus matrix product: [ab]_ij = min_l (a_il + b_lj)."""
     _check_same_order(a, b)
     d = lcm(a._d, b._d)
-    succ = [[(j, w) for j, w in enumerate(row) if w is not None] for row in _rescaled(b, d)]
+    f = d // b._d
+    succ = b._cells if f == 1 else [[(j, w * f) for j, w in row] for row in b._cells]
     return MinPlusMatrix._from_scaled(tuple(map(tuple, _int_product(_rescaled(a, d), succ))), d)
 
 
@@ -215,9 +246,10 @@ def parse_matrix(text: str) -> MinPlusMatrix:
 
     The plain-text form is n lines of n whitespace-separated tokens; each
     token is an integer, exact decimal, "p/q", or an ε token ("inf", "eps").
+    Blank lines are skipped, and counted in the line numbers of errors.
     Each distinct token is decoded once to a (numerator, denominator) pair;
-    D comes from the distinct finite values, and the rows are filled with
-    their scaled ints.
+    D comes from the distinct finite values, and the rows and their finite
+    cells (see the module docstring) are filled with the scaled ints.
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -250,38 +282,63 @@ def _matrix_from_json(obj) -> MinPlusMatrix:
 
 
 def _parse_matrix_text(text: str) -> MinPlusMatrix:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ParseError("empty matrix input")
-    n = len(lines[0].split())
-    pairs: dict = {}
-    # each distinct token as one shared string: a row holds these, not its split() list
-    canonical: dict = {}
-    rows = []
-    for lineno, line in enumerate(lines, start=1):
+    pairs: dict = {}  # each distinct token's pair, None for ε
+    blanks = set()  # the ε tokens among them
+    found = []  # per row: its finite columns and their tokens, or None and all its tokens
+    n = 0
+    for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
-        if len(tokens) != n:
+        if not tokens:
+            continue
+        if not n:
+            n, columns = len(tokens), range(len(tokens))
+        elif len(tokens) != n:
             raise ParseError(f"expected {n} entries, found {len(tokens)}", line=lineno)
-        bad = {}
-        for token in set(tokens).difference(pairs):
+        distinct = set(tokens)
+        for token in distinct.difference(pairs):
             try:
-                pairs[token] = _decode_token(token)
-                canonical[token] = token
-            except ParseError as exc:
-                bad[token] = exc
-        if bad:
-            token = min(bad, key=tokens.index)  # the leftmost bad entry
-            raise ParseError(
-                f"bad matrix entry {token!r}", line=lineno, column=tokens.index(token) + 1
-            ) from bad[token]
-        rows.append(tuple(map(canonical.__getitem__, tokens)))
-    if len(lines) != n:
-        raise ParseError(f"{len(lines)} rows of {n} entries each do not form a square matrix")
+                if pairs.setdefault(token, _decode_token(token)) is None:
+                    blanks.add(token)
+            except ParseError:
+                _raise_leftmost_bad_entry(tokens, lineno)
+        if 32 * (len(distinct) - len(blanks)) < n:
+            # under one distinct finite value per 32 columns: find the finite columns in
+            # one C-level pass over the tokens set() has hashed (ε's None is falsy, a pair
+            # is not), and keep only their tokens; a narrower or denser row costs less
+            # kept whole and mapped in one pass once D is known
+            cols = tuple(compress(columns, map(pairs.__getitem__, tokens)))
+            found.append((cols, tuple(map(tokens.__getitem__, cols))))
+        else:
+            found.append((None, tokens))
+    if not n:
+        raise ParseError("empty matrix input")
+    if len(found) != n:
+        raise ParseError(f"{len(found)} rows of {n} entries each do not form a square matrix")
     d = _common_denominator(pairs.values())
-    scaled = {token: _scaled(pair, d) for token, pair in pairs.items()}
-    for i, row in enumerate(rows):
-        rows[i] = tuple(map(scaled.__getitem__, row))
-    return MinPlusMatrix._from_scaled(tuple(rows), d)
+    scaled = {token: None if pair is None else pair[0] * (d // pair[1]) for token, pair in pairs.items()}
+    ints, cells = [], []
+    for i, (cols, kept) in enumerate(found):
+        found[i] = None  # the row's tokens go as its ints come
+        weights = tuple(map(scaled.__getitem__, kept))
+        if cols is None:
+            cells.append(tuple([(j, w) for j, w in enumerate(weights) if w is not None]))
+        else:
+            cells.append(tuple(zip(cols, weights)))
+            row = [None] * n
+            for j, w in zip(cols, weights):
+                row[j] = w
+            weights = tuple(row)
+        ints.append(weights)
+    return MinPlusMatrix._from_scaled(tuple(ints), d, tuple(cells))
+
+
+def _raise_leftmost_bad_entry(tokens, lineno: int):
+    """Raise the ParseError of the row's first token that does not decode."""
+    for column, token in enumerate(tokens, start=1):
+        try:
+            _decode_token(token)
+        except ParseError as exc:
+            raise ParseError(f"bad matrix entry {token!r}", line=lineno, column=column) from exc
 
 
 def load_matrix(path) -> MinPlusMatrix:

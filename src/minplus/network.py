@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .charpoly import charpoly_flv, charpoly_tropdet, tropdet_assignment, tropdet_bruteforce
 from .errors import CapExceeded
@@ -93,6 +94,32 @@ class Network:
         object.__setattr__(self, "edges", tuple(normalized))
         object.__setattr__(self, "_succ", {v: tuple(sorted(pairs)) for v, pairs in succ.items()})
         object.__setattr__(self, "_d", d)
+
+    @classmethod
+    def _from_scaled(cls, m: int, cells, d: int) -> "Network":
+        """The network of a matrix's finite cells: cells[i] holds the
+        (column, weight times d) pairs of row i in column order, columns
+        from 0, as ``MinPlusMatrix._cells`` does, and d is canonical (the
+        least common multiple of the weights' reduced denominators, 1 with
+        none). Nothing is coerced, re-scaled or sorted."""
+        succ = {tail: tuple([(j + 1, w) for j, w in row]) for tail, row in enumerate(cells, start=1)}
+        edges = tuple([(tail, head, Fraction(w, d)) for tail, pairs in succ.items() for head, w in pairs])
+        net = object.__new__(cls)
+        for name, value in (("m", m), ("edges", edges), ("_succ", succ), ("_d", d)):
+            object.__setattr__(net, name, value)
+        return net
+
+    @cached_property
+    def _components(self) -> list[list[tuple[int, int, int]]]:
+        """The internal edges of each strongly connected component that has
+        one, with their weights times D: one component pass per network,
+        which separated_check, min_cycle_mean and verify_matrix share."""
+        components = _strongly_connected_components(self._succ)
+        component = {v: ci for ci, members in enumerate(components) for v in members}
+        inside: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
+        for tail, pairs in self._succ.items():
+            inside[component[tail]].extend((tail, h, w) for h, w in pairs if component[h] == component[tail])
+        return [edges for edges in inside.values() if edges]
 
     def successors(self) -> dict[int, list[tuple[int, Fraction]]]:
         adj: dict[int, list[tuple[int, Fraction]]] = {v: [] for v in range(1, self.m + 1)}
@@ -194,15 +221,10 @@ class Report:
 
 
 def network_from_matrix(a: MinPlusMatrix) -> Network:
-    """One edge (i, j, a_ij) per finite entry, read off the scaled ints."""
-    d = a._d
-    edges = tuple(
-        (i, j, Fraction(w, d))
-        for i, row in enumerate(a._ints, start=1)
-        for j, w in enumerate(row, start=1)
-        if w is not None
-    )
-    return Network(m=a.n, edges=edges)
+    """One edge (i, j, a_ij) per finite entry, read off the matrix's
+    finite cells alone: the dense ints are not scanned."""
+    cells = a._cells
+    return Network._from_scaled(len(cells), cells, a._d)
 
 
 def matrix_from_network(net: Network) -> MinPlusMatrix:
@@ -262,17 +284,6 @@ def _strongly_connected_components(succ: dict[int, tuple[tuple[int, int], ...]])
                         break
                 components.append(component)
     return components
-
-
-def _edges_by_component(net: Network) -> list[list[tuple[int, int, int]]]:
-    """The internal edges of each strongly connected component that has
-    one, with their weights times D."""
-    components = _strongly_connected_components(net._succ)
-    component = {v: ci for ci, members in enumerate(components) for v in members}
-    inside: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-    for tail, pairs in net._succ.items():
-        inside[component[tail]].extend((tail, h, w) for h, w in pairs if component[h] == component[tail])
-    return [edges for edges in inside.values() if edges]
 
 
 def _circuits_through(start: int, succ: dict[int, list[tuple[int, int]]]):
@@ -412,7 +423,7 @@ def min_cycle_mean(net: Network) -> MinPlusValue:
     Runs the exact-length-walk dynamic program independently on each
     strongly connected component, since every circuit lives inside one.
     """
-    means = [MinPlusValue(_karp_component(edges, net._d)) for edges in _edges_by_component(net)]
+    means = [MinPlusValue(_karp_component(edges, net._d)) for edges in net._components]
     return min(means, default=EPSILON)
 
 
@@ -533,7 +544,7 @@ def separated_check(net: Network) -> bool:
     vertex with two internal out-edges (v, u) and (v, u') lies on two
     circuits, each closed by a path back to v inside the component.
     """
-    return _is_separated(_edges_by_component(net))
+    return _is_separated(net._components)
 
 
 def _homogeneous_groups(components: list[list[tuple[int, int, int]]], d: int) -> list[tuple[Fraction, int]]:
@@ -568,7 +579,7 @@ def verify_separated_factorization(a: MinPlusMatrix) -> Report:
     (x ⊕ p_1)^(l_1) ⊗ ... ⊗ (x ⊕ p_k)^(l_k) ⊗ x^r with r the number of
     circuit-free vertices."""
     net = network_from_matrix(a)
-    components = _edges_by_component(net)
+    components = net._components
     if not _is_separated(components):
         return _factorization_report(a.n, None, None)
     return _factorization_report(a.n, _homogeneous_groups(components, net._d), charpoly_tropdet(a))
@@ -616,7 +627,7 @@ def verify_matrix(a: MinPlusMatrix, cap_perms: int, cap_subsets: int) -> list[Re
         details = {"note": f"order {a.n} above the brute-force cap {cap_perms}"}
         oracle = Report(check="tropdet_oracle", hypothesis_met=False, details=[details])
     net = network_from_matrix(a)
-    components = _edges_by_component(net)
+    components = net._components
     separated = _is_separated(components)
     return [
         oracle,

@@ -174,16 +174,16 @@ def _decode_token(token: str) -> tuple[int, int] | None:
     one of those forms with a zero denominator or past the int digit
     limit, takes _parse_token's route, so the accepted forms and the
     errors are _parse_token's."""
-    num, slash, den = token.partition("/")
-    digits = num[1:] if num[:1] == "-" else num
-    if digits.isdigit() and token.isascii() and (not slash or den.isdigit()):
-        try:
-            p, q = int(num), int(den or 1)
-        except ValueError:  # past the int digit limit
-            pass
-        else:
-            if q:
-                return p, q
+    if token.isascii():
+        num, slash, den = token.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit() and (not slash or den.isdigit()):
+            try:
+                p, q = int(num), int(den) if slash else 1
+            except ValueError:  # past the int digit limit
+                pass
+            else:
+                if q:
+                    return p, q
     return _ratio(_parse_token(token))
 
 

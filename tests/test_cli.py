@@ -229,6 +229,25 @@ def test_parse_error_exit_code(run, tmp_path):
     assert code == 2
 
 
+def test_parse_errors_count_blank_lines(run, tmp_path):
+    # blank lines are skipped, but an error names the line of the file it is on
+    cases = {
+        "1 2\n\n3 x\n": "error: bad matrix entry 'x' (line 3, column 2)\n",
+        "\n\n1 2\n3 4 5\n": "error: expected 2 entries, found 3 (line 4)\n",
+        "1 inf\n  \n\t\ninf 2/0\n": "error: bad matrix entry '2/0' (line 4, column 2)\n",
+    }
+    for k, (text, message) in enumerate(cases.items()):
+        path = tmp_path / f"blank{k}.txt"
+        path.write_text(text)
+        for command in ("circuits", "verify", "charpoly", "factor"):
+            assert run(command, str(path)) == (2, "", message)
+    ok = tmp_path / "spaced.txt"
+    ok.write_text("\n1 inf\n\n   \ninf 2\n\n")
+    assert run("circuits", str(ok)) == (0, "circuit 1 length 1 weight 1 average 1\n"
+                                            "circuit 2 length 1 weight 2 average 2\n"
+                                            "separated: true\nmin_cycle_mean: 1\n", "")
+
+
 def test_polynomial_file_errors_exit_2(run, tmp_path):
     bad_json = tmp_path / "truncated.json"
     bad_json.write_text('{"coeffs": [0, 1')

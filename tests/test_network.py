@@ -29,6 +29,7 @@ from minplus import (
     matrix_from_network,
     min_cycle_mean,
     network_from_matrix,
+    parse_matrix,
     plant_separated_instance,
     scalar_otimes,
     separated_check,
@@ -257,7 +258,7 @@ def test_single_circuit_component_mean_matches_the_walk_table():
         matrix, _ = plant_separated_instance(rng, rng.randint(1, 12))
         shift = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
         net = network_from_matrix(scalar_otimes(shift, matrix))
-        for edges in network._edges_by_component(net):
+        for edges in net._components:
             single += len(edges) == len({t for t, _, _ in edges})
             assert network._karp_component(edges, net._d) == network._karp_walks(edges, net._d)
     assert single > 80
@@ -392,6 +393,48 @@ def test_graph_commands_read_only_the_int_adjacency(monkeypatch, tmp_path, capsy
             code = main([*argv, str(path)])
             out, err = capsys.readouterr()
             assert code in (0, 4) and err == "" and out, (argv, k, code, err)
+
+
+def test_network_from_a_parsed_text_matrix_reads_only_its_finite_cells(monkeypatch):
+    # the text parser hands its finite cells to the matrix, so the network
+    # of a long ε-heavy cycle is built without reading a dense int row
+    n = 300
+    order = list(range(1, n + 1))
+    random.Random(20261019).shuffle(order)
+    weights = [0, Fraction(3, 4), -2, Fraction(-5, 6)] * (n // 4)  # zero weights and a common D of 12
+    edges = tuple((order[k], order[(k + 1) % n], weights[k]) for k in range(n))
+    cells = {(t, h): w for t, h, w in edges}
+    rows = [[cells.get((t, h)) for h in range(1, n + 1)] for t in range(1, n + 1)]
+    text = "\n\n".join(" ".join("inf" if w is None else str(w) for w in row) for row in rows) + "\n"
+    parsed, from_json = parse_matrix(text), parse_matrix(json.dumps(MinPlusMatrix(rows).to_json()))
+
+    def refuse(self):
+        raise AssertionError("MinPlusMatrix._ints read")
+
+    monkeypatch.setattr(MinPlusMatrix, "_ints", property(refuse))
+    net = network_from_matrix(parsed)
+    with pytest.raises(AssertionError, match="_ints read"):
+        network_from_matrix(from_json)  # its view is built from the ints
+    monkeypatch.undo()
+    coerced = Network(m=n, edges=tuple(sorted(edges)))
+    assert (net, hash(net), repr(net)) == (coerced, hash(coerced), repr(coerced))
+    assert (net._succ, net._d) == (coerced._succ, coerced._d)
+    assert net._d == 12
+    [circuit] = enumerate_circuits(net)
+    assert (circuit.length, circuit.weight) == (n, sum(weights))
+
+
+def test_separated_check_and_min_cycle_mean_share_one_component_pass(monkeypatch, example7):
+    matrices = (example7, diag(3, 1, 2), plant_separated_instance(random.Random(5), 9)[0])
+    expected = [(separated_check(n), min_cycle_mean(n)) for n in map(network_from_matrix, matrices)]
+    passes = []
+    tarjan = network._strongly_connected_components
+    monkeypatch.setattr(network, "_strongly_connected_components", lambda succ: passes.append(succ) or tarjan(succ))
+    for a, answers in zip(matrices, expected):
+        net = network_from_matrix(a)
+        assert (separated_check(net), min_cycle_mean(net)) == answers
+        assert len(passes) == 1
+        passes.clear()
 
 
 def test_coefficient_check_golden(example7):
