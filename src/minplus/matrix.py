@@ -35,6 +35,7 @@ from .semiring import (
     _common_denominator,
     _decode_cell,
     _decode_token,
+    _is_int,
     _ratio,
     _rational,
     _scaled,
@@ -225,7 +226,7 @@ def scalar_otimes(alpha, a: MinPlusMatrix) -> MinPlusMatrix:
 
 def mat_power(a: MinPlusMatrix, k: int) -> MinPlusMatrix:
     """k-fold ⊗-product; k = 0 yields the identity."""
-    if not isinstance(k, int) or k < 0:
+    if not _is_int(k) or k < 0:
         raise ValueError(f"matrix exponent must be a nonnegative integer, got {k!r}")
     if k == 0:
         return identity(a.n)
@@ -265,6 +266,8 @@ def _matrix_from_json(obj) -> MinPlusMatrix:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ParseError('"rows" must be a non-empty list of lists')
     n = obj.get("n", len(rows))
+    if not _is_int(n):
+        raise ParseError(f'"n" must be an integer, got {n!r}')
     if n != len(rows):
         raise ParseError(f'"n" is {n} but {len(rows)} rows were given')
     pairs: dict = {}

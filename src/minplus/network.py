@@ -9,13 +9,18 @@ graph data. `verify_matrix` runs every check on one matrix from one
 computation of each polynomial, one component pass and one subset dynamic
 program over the graph; it lists no circuits.
 
-A network stores its graph once, at construction, as one int adjacency:
-each vertex's (head, weight times D) pairs in head order, with D the least
-common multiple of the weights' reduced denominators, so a network built
-from a matrix has the matrix's D. Every kernel here reads that adjacency;
+A network holds its graph in one form, its matrix's finite cells
+(``_cells``): per vertex, its (head, weight times D) pairs in head order,
+vertices counted from 0, with D the least common multiple of the weights'
+reduced denominators. A network built from a matrix shares the matrix's
+cells and D. One component pass over the cells gives each strongly
+connected component that holds a circuit as its vertices' internal pairs
+(``_components``), and every graph kernel here reads that: Johnson's
+circuit search, Karp's minimum cycle mean and the separation checks.
 Fractions appear only in ``edges``, in each ``Circuit`` and in results.
 
-Vertices are labeled 1..m throughout, matching the adjacency-matrix rows.
+Vertices are labeled 1..m in ``edges``, circuits and every result,
+matching the adjacency-matrix rows.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .charpoly import charpoly_flv, charpoly_tropdet, tropdet_assignment, tropde
 from .errors import CapExceeded
 from .matrix import MinPlusMatrix
 from .polynomial import Factorization, MinPlusPolynomial, canonicalize, factorize, is_equivalent
-from .semiring import EPSILON, MinPlusValue, _common_denominator, _ratio, _rational, _scaled
+from .semiring import EPSILON, MinPlusValue, _common_denominator, _is_int, _ratio, _rational, _scaled
 
 __all__ = [
     "Network",
@@ -54,6 +59,9 @@ __all__ = [
 CIRCUIT_CAP = 10**6
 EXHAUSTIVE_CAP = 10
 
+# a strongly connected component: each vertex's (head, weight times D) pairs inside it
+_Component = dict[int, tuple[tuple[int, int], ...]]
+
 
 def _finite(weight) -> Fraction:
     """An edge or circuit weight as a Fraction, coerced as a matrix entry
@@ -70,17 +78,19 @@ class Network:
 
     m: int
     edges: tuple[tuple[int, int, Fraction], ...]
-    _succ: dict[int, tuple[tuple[int, int], ...]] = field(init=False, repr=False, compare=False)
+    _cells: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
     _d: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or isinstance(self.m, bool):
+        if not _is_int(self.m):
             raise TypeError(f"vertex count must be an int, not {self.m!r}")
         if self.m < 0:
             raise ValueError("vertex count must be nonnegative")
         seen = set()
         normalized = []
         for tail, head, weight in self.edges:
+            if not (_is_int(tail) and _is_int(head)):
+                raise TypeError(f"edge ({tail!r}, {head!r}) must join int vertices")
             if not (1 <= tail <= self.m and 1 <= head <= self.m):
                 raise ValueError(f"edge ({tail}, {head}) is outside vertices 1..{self.m}")
             if (tail, head) in seen:
@@ -88,46 +98,23 @@ class Network:
             seen.add((tail, head))
             normalized.append((tail, head, _finite(weight)))
         d = _common_denominator(_ratio(w) for _, _, w in normalized)
-        succ: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, self.m + 1)}
+        cells: list[list[tuple[int, int]]] = [[] for _ in range(self.m)]
         for tail, head, weight in normalized:
-            succ[tail].append((head, _scaled(_ratio(weight), d)))
+            cells[tail - 1].append((head - 1, _scaled(_ratio(weight), d)))
         object.__setattr__(self, "edges", tuple(normalized))
-        object.__setattr__(self, "_succ", {v: tuple(sorted(pairs)) for v, pairs in succ.items()})
+        object.__setattr__(self, "_cells", tuple(tuple(sorted(row)) for row in cells))
         object.__setattr__(self, "_d", d)
 
-    @classmethod
-    def _from_scaled(cls, m: int, cells, d: int) -> "Network":
-        """The network of a matrix's finite cells: cells[i] holds the
-        (column, weight times d) pairs of row i in column order, columns
-        from 0, as ``MinPlusMatrix._cells`` does, and d is canonical (the
-        least common multiple of the weights' reduced denominators, 1 with
-        none). Nothing is coerced, re-scaled or sorted."""
-        succ = {tail: tuple([(j + 1, w) for j, w in row]) for tail, row in enumerate(cells, start=1)}
-        edges = tuple([(tail, head, Fraction(w, d)) for tail, pairs in succ.items() for head, w in pairs])
-        net = object.__new__(cls)
-        for name, value in (("m", m), ("edges", edges), ("_succ", succ), ("_d", d)):
-            object.__setattr__(net, name, value)
-        return net
-
     @cached_property
-    def _components(self) -> list[list[tuple[int, int, int]]]:
-        """The internal edges of each strongly connected component that has
-        one, with their weights times D: one component pass per network,
-        which separated_check, min_cycle_mean and verify_matrix share."""
-        components = _strongly_connected_components(self._succ)
-        component = {v: ci for ci, members in enumerate(components) for v in members}
-        inside: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-        for tail, pairs in self._succ.items():
-            inside[component[tail]].extend((tail, h, w) for h, w in pairs if component[h] == component[tail])
-        return [edges for edges in inside.values() if edges]
+    def _components(self) -> list[_Component]:
+        """Each strongly connected component that holds a circuit, as its
+        vertices' internal (head, weight times D) pairs: one component pass
+        per network, which the circuit search, Karp and the separation
+        checks share."""
+        return _strongly_connected_components(self._cells)
 
     def successors(self) -> dict[int, list[tuple[int, Fraction]]]:
-        adj: dict[int, list[tuple[int, Fraction]]] = {v: [] for v in range(1, self.m + 1)}
-        for tail, head, weight in self.edges:
-            adj[tail].append((head, weight))
-        for lst in adj.values():
-            lst.sort()
-        return adj
+        return {v: [(h + 1, Fraction(w, self._d)) for h, w in row] for v, row in enumerate(self._cells, start=1)}
 
 
 @dataclass(frozen=True)
@@ -140,6 +127,8 @@ class Circuit:
     def __post_init__(self):
         if not self.vertices:
             raise ValueError("a circuit has at least one vertex")
+        if not all(map(_is_int, self.vertices)):
+            raise TypeError(f"circuit vertices must be ints, not {self.vertices!r}")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("circuit vertices must be distinct")
         if self.vertices[0] != min(self.vertices):
@@ -221,74 +210,81 @@ class Report:
 
 
 def network_from_matrix(a: MinPlusMatrix) -> Network:
-    """One edge (i, j, a_ij) per finite entry, read off the matrix's
-    finite cells alone: the dense ints are not scanned."""
-    cells = a._cells
-    return Network._from_scaled(len(cells), cells, a._d)
+    """One edge (i, j, a_ij) per finite entry: the network holds the
+    matrix's finite cells themselves, and the dense ints are not scanned."""
+    cells, d = a._cells, a._d
+    edges = tuple([(i, j + 1, Fraction(w, d)) for i, row in enumerate(cells, start=1) for j, w in row])
+    return _unchecked(Network, m=len(cells), edges=edges, _cells=cells, _d=d)
+
+
+def _unchecked(cls, **fields):
+    """An instance of a frozen dataclass from fields already in the form
+    its __post_init__ gives them: nothing is checked or coerced."""
+    instance = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(instance, name, value)
+    return instance
 
 
 def matrix_from_network(net: Network) -> MinPlusMatrix:
     """Weighted adjacency matrix; inverse of network_from_matrix."""
     if net.m == 0:
         raise ValueError("matrix order must be at least 1")
-    heads = [dict(pairs) for pairs in net._succ.values()]
-    return MinPlusMatrix._from_scaled(tuple(tuple(map(row.get, range(1, net.m + 1))) for row in heads), net._d)
+    rows = [[None] * net.m for _ in range(net.m)]
+    for row, pairs in zip(rows, net._cells):
+        for j, w in pairs:
+            row[j] = w
+    return MinPlusMatrix._from_scaled(tuple(map(tuple, rows)), net._d, net._cells)
 
 
-def _strongly_connected_components(succ: dict[int, tuple[tuple[int, int], ...]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative, on the subgraph induced by the keys of succ."""
+def _strongly_connected_components(succ) -> list[_Component]:
+    """Tarjan's algorithm, iterative, on a graph given as succ[v], the
+    (head, w) pairs of each vertex v: a dict, or a sequence over vertices
+    0..len - 1, every head a vertex. Each component that holds a circuit
+    comes out as {v: the pairs of v whose head is in the component}."""
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     on_stack: set[int] = set()
     stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-
-    for root in succ:
+    components: list[_Component] = []
+    for root in succ if isinstance(succ, dict) else range(len(succ)):
         if root in index:
             continue
         work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter
-        counter += 1
+        index[root] = low[root] = len(index)
         stack.append(root)
         on_stack.add(root)
         while work:
             v, edge_iter = work[-1]
-            advanced = False
             for head, _ in edge_iter:
-                if head not in succ:
-                    continue
                 if head not in index:
-                    index[head] = low[head] = counter
-                    counter += 1
+                    index[head] = low[head] = len(index)
                     stack.append(head)
                     on_stack.add(head)
                     work.append((head, iter(succ[head])))
-                    advanced = True
                     break
                 if head in on_stack:
                     low[v] = min(low[v], index[head])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(component)
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    members = {v}
+                    while (w := stack.pop()) != v:
+                        members.add(w)
+                    on_stack -= members
+                    component = {u: tuple([p for p in succ[u] if p[0] in members]) for u in members}
+                    if len(members) > 1 or component[v]:
+                        components.append(component)
     return components
 
 
-def _circuits_through(start: int, succ: dict[int, list[tuple[int, int]]]):
-    """Johnson's blocking search, on an explicit stack: (vertex tuple, int
-    weight) of every elementary circuit through start inside succ, start first."""
+def _circuits_through(start: int, succ: _Component):
+    """Johnson's blocking search, on an explicit stack: (path, int weight)
+    of every elementary circuit through start inside succ, start first;
+    path is the search's own vertex list, to be read before resuming."""
     blocked = {start}
     block_map: dict[int, set[int]] = defaultdict(set)
     path = [start]
@@ -298,7 +294,7 @@ def _circuits_through(start: int, succ: dict[int, list[tuple[int, int]]]):
     while work:
         for head, weight in work[-1]:
             if head == start:
-                yield tuple(path), sums[-1] + weight
+                yield path, sums[-1] + weight
                 found[-1] = True
             elif head not in blocked:
                 path.append(head)
@@ -328,48 +324,44 @@ def _circuits_through(start: int, succ: dict[int, list[tuple[int, int]]]):
 def enumerate_circuits(net: Network, cap: int = CIRCUIT_CAP) -> list[Circuit]:
     """All elementary circuits, by Johnson's algorithm.
 
-    Every circuit lies inside one strongly connected component, so edges
-    between components are dropped. Each component is searched from its
-    smallest vertex, which is then removed, and the components of what
-    remains are searched in turn: every circuit is found exactly once,
+    Every circuit lies inside one strongly connected component, so the
+    search starts from the network's components. Each component is searched
+    from its smallest vertex, which is then removed, and the components of
+    what remains are searched in turn: every circuit is found exactly once,
     from its smallest vertex, so it comes out already in canonical
     rotation. Results are sorted by (length, vertex sequence).
     """
     circuits: list[Circuit] = []
-    pending = [net._succ]
+    pending = list(net._components)
     while pending:
-        for component in _strongly_connected_components(pending.pop()):
-            start = min(component)
-            inside = set(component)
-            succ = {v: [(h, w) for h, w in net._succ[v] if h in inside] for v in component}
-            for cycle, total in _circuits_through(start, succ):
-                circuits.append(Circuit(vertices=cycle, weight=Fraction(total, net._d)))
-                if len(circuits) > cap:
-                    raise CapExceeded(
-                        f"circuit enumeration exceeded the cap of {cap}",
-                        partial_count=len(circuits),
-                    )
-            pending.append({v: succ[v] for v in component if v != start})
+        succ = pending.pop()
+        start = min(succ)
+        for cycle, total in _circuits_through(start, succ):
+            vertices = tuple([v + 1 for v in cycle])  # canonical, distinct ints: nothing to check
+            circuits.append(_unchecked(Circuit, vertices=vertices, weight=Fraction(total, net._d)))
+            if len(circuits) > cap:
+                raise CapExceeded(f"circuit enumeration exceeded the cap of {cap}", partial_count=len(circuits))
+        residue = {v: tuple([p for p in pairs if p[0] != start]) for v, pairs in succ.items() if v != start}
+        pending.extend(_strongly_connected_components(residue))
 
     circuits.sort(key=lambda c: (c.length, c.vertices))
     return circuits
 
 
-def _karp_component(edges: list[tuple[int, int, int]], d: int) -> Fraction:
-    """Minimum cycle mean of one strongly connected component, given by
-    its internal edges with their weights times d (every vertex of it is
-    the tail of one).
+def _karp_component(succ: _Component, d: int) -> Fraction:
+    """Minimum cycle mean of one strongly connected component, given as
+    its vertices' internal (head, weight times d) pairs.
 
     A component with as many internal edges as vertices is one circuit
     (see separated_check), so its mean is its weight over its length;
     any other takes Karp's walk table (_karp_walks).
     """
-    if len(edges) == len({t for t, _, _ in edges}):
-        return Fraction(sum(w for _, _, w in edges), len(edges) * d)
-    return _karp_walks(edges, d)
+    if all(len(pairs) == 1 for pairs in succ.values()):
+        return Fraction(sum(w for [(_, w)] in succ.values()), len(succ) * d)
+    return _karp_walks(succ, d)
 
 
-def _karp_walks(edges: list[tuple[int, int, int]], d: int) -> Fraction:
+def _karp_walks(succ: _Component, d: int) -> Fraction:
     """Minimum cycle mean of one strongly connected component, by Karp's
     dynamic program over exact-length walks from a fixed source: with
     D_k(v) the minimum weight of a k-edge walk source -> v (None when no
@@ -382,12 +374,12 @@ def _karp_walks(edges: list[tuple[int, int, int]], d: int) -> Fraction:
     compared cross-multiplied (the denominators n - k are positive), so
     the one Fraction built is the result.
     """
-    order = sorted({t for t, _, _ in edges})
+    order = sorted(succ)
     pos = {v: i for i, v in enumerate(order)}
     n = len(order)
     table: list[list[int | None]] = [[None] * n for _ in range(n + 1)]
     table[0][0] = 0
-    local_edges = [(pos[t], pos[h], w) for t, h, w in edges]
+    local_edges = [(pos[t], pos[h], w) for t in order for h, w in succ[t]]
     for k in range(1, n + 1):
         prev = table[k - 1]
         cur = table[k]
@@ -423,7 +415,7 @@ def min_cycle_mean(net: Network) -> MinPlusValue:
     Runs the exact-length-walk dynamic program independently on each
     strongly connected component, since every circuit lives inside one.
     """
-    means = [MinPlusValue(_karp_component(edges, net._d)) for edges in net._components]
+    means = [MinPlusValue(_karp_component(succ, net._d)) for succ in net._components]
     return min(means, default=EPSILON)
 
 
@@ -434,6 +426,8 @@ def enumerate_extended_circuits(
     circuit_cap: int = CIRCUIT_CAP,
 ) -> list[ExtendedCircuit]:
     """All vertex-disjoint circuit families with total length exactly j."""
+    if not _is_int(j):
+        raise TypeError(f"total length must be an int, not {j!r}")
     if j < 1:
         raise ValueError("total length must be a positive integer")
     if net.m > exhaustive_cap:
@@ -464,8 +458,8 @@ def enumerate_extended_circuits(
 def _family_minima(net: Network) -> dict[int, Fraction]:
     """Least weight of a vertex-disjoint circuit family of total length j,
     for each j that has one, by one dynamic program over vertex subsets S
-    (bitmasks, bit v for vertex v) on the network's int adjacency; no
-    circuit is listed.
+    (bitmasks, bit v for vertex v, counted from 0) on the network's finite
+    cells; no circuit is listed.
 
     Order a family's circuits by decreasing lowest vertex: the family is
     then built in exactly one way, opening each circuit at its lowest
@@ -481,10 +475,10 @@ def _family_minima(net: Network) -> dict[int, Fraction]:
     and closed[S] is the least weight of a family covering exactly S. Each
     step goes to a larger mask, so one ascending pass takes O(2^n · m).
     """
-    succ = net._succ
-    paths: dict[int, dict[int, int]] = {1 << u: {u: 0} for u in succ}
+    succ = net._cells
+    paths: dict[int, dict[int, int]] = {1 << u: {u: 0} for u in range(net.m)}
     minima: dict[int, int] = {}
-    for s in range(2, 2 << net.m, 2):
+    for s in range(1, 1 << net.m):
         ends = paths.pop(s, None)
         if ends is None:
             continue
@@ -502,7 +496,7 @@ def _family_minima(net: Network) -> dict[int, Fraction]:
             continue
         j = s.bit_count()
         minima[j] = min(closed, minima.get(j, closed))
-        for u in range(1, low):
+        for u in range(low):
             target = paths.setdefault(s | 1 << u, {})
             if u not in target or closed < target[u]:
                 target[u] = closed
@@ -528,9 +522,8 @@ def coefficient_check(a: MinPlusMatrix) -> Report:
     return _coefficient_report(charpoly_tropdet(a), _family_minima(network_from_matrix(a)))
 
 
-def _is_separated(components: list[list[tuple[int, int, int]]]) -> bool:
-    tails = [tail for edges in components for tail, _, _ in edges]
-    return len(tails) == len(set(tails))
+def _is_separated(components: list[_Component]) -> bool:
+    return all(len(pairs) == 1 for succ in components for pairs in succ.values())
 
 
 def separated_check(net: Network) -> bool:
@@ -547,14 +540,13 @@ def separated_check(net: Network) -> bool:
     return _is_separated(net._components)
 
 
-def _homogeneous_groups(components: list[list[tuple[int, int, int]]], d: int) -> list[tuple[Fraction, int]]:
+def _homogeneous_groups(components: list[_Component], d: int) -> list[tuple[Fraction, int]]:
     """Group the circuits of a separated network by average weight:
-    (average, total length), ascending. Each component with an internal
-    edge is one circuit, made of exactly its internal edges (weights
-    times d)."""
+    (average, total length), ascending. Each component is one circuit,
+    made of exactly its internal edges (weights times d)."""
     totals: dict[Fraction, int] = defaultdict(int)
-    for edges in components:
-        totals[Fraction(sum(w for _, _, w in edges), len(edges) * d)] += len(edges)
+    for succ in components:
+        totals[_karp_component(succ, d)] += len(succ)
     return sorted(totals.items())
 
 

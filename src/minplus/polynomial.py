@@ -31,6 +31,7 @@ from .semiring import (
     MinPlusValue,
     _common_denominator,
     _decode_cell,
+    _is_int,
     _ratio,
     _rational,
     _scaled,
@@ -122,6 +123,8 @@ class Factorization:
             self, "factors", tuple((as_value(root), mult) for root, mult in self.factors)
         )
         for root, mult in self.factors:
+            if not _is_int(mult):
+                raise TypeError(f"multiplicities must be ints, not {mult!r}")
             if root.is_epsilon:
                 raise ValueError("factor roots must be finite")
             if mult < 1:
@@ -129,6 +132,8 @@ class Factorization:
         roots = [root for root, _ in self.factors]
         if any(not a < b for a, b in zip(roots, roots[1:])):
             raise ValueError("roots must be strictly increasing")
+        if not _is_int(self.xpower):
+            raise TypeError(f"x-power must be an int, not {self.xpower!r}")
         if self.xpower < 0:
             raise ValueError("x-power must be nonnegative")
 
@@ -294,6 +299,8 @@ def _polynomial_from_json(obj) -> MinPlusPolynomial:
         except (ParseError, TypeError) as exc:
             raise ParseError(f"bad coefficient {cell!r} at index {idx}: {exc}") from exc
     degree = obj.get("degree", len(raw) - 1)
+    if not _is_int(degree):
+        raise ParseError(f'"degree" must be an integer, got {degree!r}')
     if degree != len(raw) - 1:
         raise ParseError(f'"degree" is {degree} but {len(raw)} coefficients were given')
     d = _common_denominator(pairs.values())

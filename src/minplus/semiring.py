@@ -161,6 +161,11 @@ EPSILON = MinPlusValue(None)
 E = MinPlusValue(0)
 
 
+def _is_int(x) -> bool:
+    """Whether x is an int and not a bool: a count, exponent or vertex label."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _ratio(q: Fraction | None) -> tuple[int, int] | None:
     """q as a (numerator, denominator) pair, None for ε."""
     return None if q is None else (q.numerator, q.denominator)
@@ -278,7 +283,7 @@ def otimes_inverse(a) -> MinPlusValue:
 def power(a, k: int) -> MinPlusValue:
     """k-fold ⊗-product of a with itself: k·a, with a^0 = 0 for every a."""
     a = as_value(a)
-    if not isinstance(k, int) or k < 0:
+    if not _is_int(k) or k < 0:
         raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
     if k == 0:
         return E

@@ -262,6 +262,23 @@ def test_polynomial_file_errors_exit_2(run, tmp_path):
     assert err == "error: bad coefficient 'oops' at index 1: not a min-plus value: 'oops'\n"
 
 
+def test_json_headers_must_be_ints_exit_2(run, tmp_path):
+    # "n" and "degree" are counts: a bool or float that equals the count is still refused
+    cases = [
+        ('{"n": true, "rows": [[1]]}', ("circuits", "verify", "charpoly"), '"n" must be an integer, got True'),
+        ('{"n": 1.0, "rows": [[1]]}', ("circuits", "eigenvalue"), '"n" must be an integer, got 1.0'),
+        ('{"degree": true, "coeffs": [0, 1]}', ("factor", "roots", "plot-data"), '"degree" must be an integer, got True'),
+        ('{"degree": 1.0, "coeffs": [0, 1]}', ("factor",), '"degree" must be an integer, got 1.0'),
+    ]
+    for k, (text, commands, message) in enumerate(cases):
+        path = tmp_path / f"header{k}.json"
+        path.write_text(text)
+        for command in commands:
+            assert run(command, str(path)) == (2, "", f"error: {message}\n")
+    path.write_text('{"degree": 1, "coeffs": [0, 1]}')
+    assert run("factor", str(path))[0] == 0
+
+
 def test_cap_exceeded_exit_code(run, example_file):
     code, _, err = run("charpoly", "--cap-subsets", "3", example_file)
     assert code == 3

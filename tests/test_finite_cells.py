@@ -6,7 +6,7 @@ as it reads each row and hands them to the matrix; every other
 constructor leaves the view to be built from the ints on first use. These
 tests check that every way of building a matrix gives the view that the
 plain comprehension over its ints gives, and that ``network_from_matrix``,
-which reads only that view, builds the network that ``Network(m, edges)``
+which holds that view itself, builds the network that ``Network(m, edges)``
 builds by coercing, scaling and sorting its edges.
 """
 
@@ -170,6 +170,8 @@ def test_network_from_matrix_is_the_coerced_network(forms, data):
         assert net == coerced
         assert hash(net) == hash(coerced)
         assert repr(net) == repr(coerced)
-        assert net._succ == coerced._succ
+        assert net._cells is a._cells
+        assert net._cells == coerced._cells
         assert net._d == coerced._d
+        assert net._components == coerced._components
         assert all(type(w) is Fraction for _, _, w in net.edges)

@@ -81,6 +81,9 @@ def test_mat_power():
     assert mat_power(a, 0) == identity(2)
     with pytest.raises(ValueError):
         mat_power(a, -1)
+    for k in (True, False, 2.0):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            mat_power(a, k)
 
 
 def test_trace():
@@ -154,6 +157,10 @@ def test_parse_json_matrix_and_round_trip():
     assert a == M([[1, EPS], [Fraction(7, 2), 0]])
     again = parse_matrix(json.dumps(a.to_json()))
     assert again == a
+    # "n" is a count: a bool, float or string is refused, even when it equals the row count
+    for n in ("true", "1.0", '"1"', "null"):
+        with pytest.raises(ParseError, match='"n" must be an integer'):
+            parse_matrix(f'{{"n": {n}, "rows": [[1]]}}')
 
 
 def test_parse_errors_carry_location():

@@ -86,6 +86,10 @@ def test_network_validation():
             Network(m=m, edges=())
     with pytest.raises(ValueError, match="nonnegative"):
         Network(m=-1, edges=())
+    # so are the endpoints of an edge
+    for tail, head in ((1.5, 2), (True, 2), (1, 2.0), (1, False), ("1", 2), (Fraction(1), 2), (None, 1)):
+        with pytest.raises(TypeError, match="int vertices"):
+            Network(m=2, edges=((tail, head, 1),))
     with pytest.raises(ValueError, match="order"):
         matrix_from_network(Network(m=0, edges=()))
 
@@ -101,6 +105,9 @@ def test_circuit_type_invariants():
     for weight in (None, "inf"):
         with pytest.raises(ValueError, match="finite"):
             Circuit(vertices=(1,), weight=weight)
+    for vertices in ((1.0, 2), (1, 2.5), (True, 2), ("1",), (Fraction(1),)):
+        with pytest.raises(TypeError, match="circuit vertices"):
+            Circuit(vertices=vertices, weight=1)
     c = Circuit(vertices=(1, 3, 2), weight=Fraction(6))
     assert c.length == 3
     assert c.average == 2
@@ -134,20 +141,19 @@ def test_network_holds_the_scaled_form_of_its_matrix():
                 ]
             )
         net = network_from_matrix(a)
-        assert net._d == a._d
-        # _succ[v]: row v's finite cells in column order, at the matrix's D
-        assert net._succ == {
-            i: tuple((j, w) for j, w in enumerate(row, start=1) if w is not None)
-            for i, row in enumerate(a._ints, start=1)
-        }
+        # the network holds the matrix's own finite cells and D, and hands them back
+        assert net._cells is a._cells and net._d == a._d
+        assert net._cells == tuple(tuple((j, w) for j, w in enumerate(row) if w is not None) for row in a._ints)
         back = matrix_from_network(net)
         assert (back._ints, back._d) == (a._ints, a._d)
-        # the same edges in any order give the same adjacency
+        assert back._cell_rows is net._cells
+        # the same edges in any order give the same cells
         shuffled = list(net.edges)
         random.Random(k).shuffle(shuffled)
         rebuilt = Network(m=a.n, edges=tuple(shuffled))
         assert rebuilt.edges == tuple(shuffled)
-        assert (rebuilt._succ, rebuilt._d) == (net._succ, net._d)
+        assert (rebuilt._cells, rebuilt._d) == (a._cells, a._d)
+        assert rebuilt._components == net._components
 
 
 def test_network_equality_hash_and_repr_see_only_m_and_edges():
@@ -155,12 +161,14 @@ def test_network_equality_hash_and_repr_see_only_m_and_edges():
     assert [f.name for f in dataclasses.fields(net) if f.compare] == ["m", "edges"]
     assert repr(net) == f"Network(m=2, edges={net.edges!r})"
     assert hash(net) == hash((2, net.edges))
-    assert (net._succ, net._d) == ({1: ((2, 1),), 2: ((1, 6),)}, 2)
+    assert (net._cells, net._d) == ((((1, 1),), ((0, 6),)), 2)
     assert net.successors() == {1: [(2, Fraction(1, 2))], 2: [(1, Fraction(3))]}
     back = matrix_from_network(net)
     assert (back._ints, back._d) == (((None, 1), (6, None)), 2)
     unordered = Network(m=3, edges=((3, 1, 2), (1, 3, Fraction(1, 3)), (1, 2, 5), (3, 3, 0)))
-    assert (unordered._succ, unordered._d) == ({1: ((2, 15), (3, 1)), 2: (), 3: ((1, 6), (3, 0))}, 3)
+    assert (unordered._cells, unordered._d) == ((((1, 15), (2, 1)), (), ((0, 6), (2, 0))), 3)
+    # vertices 1 and 3 form the one component that holds a circuit; the edge 1 -> 2 leaves it
+    assert unordered._components == [{0: ((2, 1),), 2: ((0, 6), (2, 0))}]
     with pytest.raises(dataclasses.FrozenInstanceError):
         net.m = 3
 
@@ -251,16 +259,22 @@ def test_min_cycle_mean_matches_enumeration():
 
 
 def test_single_circuit_component_mean_matches_the_walk_table():
-    # a component with as many internal edges as vertices skips Karp's table
+    # a component with as many internal edges as vertices skips Karp's table;
+    # on a planted instance the components are exactly the planted cycles
     rng = random.Random(20261018)
     single = 0
     for _ in range(80):
-        matrix, _ = plant_separated_instance(rng, rng.randint(1, 12))
+        matrix, planted = plant_separated_instance(rng, rng.randint(1, 12))
         shift = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
         net = network_from_matrix(scalar_otimes(shift, matrix))
-        for edges in net._components:
-            single += len(edges) == len({t for t, _, _ in edges})
-            assert network._karp_component(edges, net._d) == network._karp_walks(edges, net._d)
+        expected = []
+        for cycle, weights in planted:
+            heads = cycle[1:] + cycle[:1]
+            expected.append({t - 1: ((h - 1, (w + shift) * net._d),) for t, h, w in zip(cycle, heads, weights)})
+        assert sorted(net._components, key=min) == sorted(expected, key=min)
+        for succ in net._components:
+            single += all(len(pairs) == 1 for pairs in succ.values())
+            assert network._karp_component(succ, net._d) == network._karp_walks(succ, net._d)
     assert single > 80
 
 
@@ -304,6 +318,11 @@ def test_extended_circuits_cap():
         enumerate_extended_circuits(Network(m=11, edges=()), 1)
     with pytest.raises(ValueError):
         enumerate_extended_circuits(Network(m=2, edges=()), 0)
+    loop = Network(m=1, edges=((1, 1, 2),))
+    assert [f.total_length for f in enumerate_extended_circuits(loop, 1)] == [1]
+    for j in (1.5, 1.0, True, "1", Fraction(1)):
+        with pytest.raises(TypeError, match="total length"):
+            enumerate_extended_circuits(loop, j)
 
 
 def _planted_minima(planted, n):
@@ -418,23 +437,72 @@ def test_network_from_a_parsed_text_matrix_reads_only_its_finite_cells(monkeypat
     monkeypatch.undo()
     coerced = Network(m=n, edges=tuple(sorted(edges)))
     assert (net, hash(net), repr(net)) == (coerced, hash(coerced), repr(coerced))
-    assert (net._succ, net._d) == (coerced._succ, coerced._d)
+    assert net._cells is parsed._cells
+    assert (net._cells, net._d) == (coerced._cells, coerced._d)
     assert net._d == 12
+    # one component, the whole cycle, each vertex with its one successor
+    assert net._components == [{t - 1: ((h - 1, w * 12),) for t, h, w in edges}]
     [circuit] = enumerate_circuits(net)
     assert (circuit.length, circuit.weight) == (n, sum(weights))
 
 
-def test_separated_check_and_min_cycle_mean_share_one_component_pass(monkeypatch, example7):
-    matrices = (example7, diag(3, 1, 2), plant_separated_instance(random.Random(5), 9)[0])
-    expected = [(separated_check(n), min_cycle_mean(n)) for n in map(network_from_matrix, matrices)]
-    passes = []
+def _residue(component):
+    """A component less its smallest vertex, with the edges into that vertex dropped."""
+    start = min(component)
+    return {v: tuple(p for p in pairs if p[0] != start) for v, pairs in component.items() if v != start}
+
+
+def test_separated_check_and_min_cycle_mean_share_one_component_pass(monkeypatch, tmp_path, capsys, example7):
+    # per network, one Tarjan pass over all m vertices feeds every graph kernel;
+    # Johnson's search runs Tarjan again only on what is left of a component it
+    # has searched, once that component's smallest vertex goes
+    n = 300
+    order = list(range(1, n + 1))
+    random.Random(20261020).shuffle(order)
+    cells = {(order[k], order[(k + 1) % n]): Fraction(k % 7 - 3, 1 + k % 2) for k in range(n)}
+    cycle = MinPlusMatrix([[cells.get((t, h)) for h in range(1, n + 1)] for t in range(1, n + 1)])
+    matrices = (example7, diag(3, 1, 2), plant_separated_instance(random.Random(5), 9)[0], cycle)
+
+    def graph_answers(net):
+        return separated_check(net), min_cycle_mean(net), enumerate_circuits(net)
+
+    expected = [graph_answers(network_from_matrix(a)) for a in matrices]
+    reports = [[r.to_json() for r in network.verify_matrix(a, 8, 20)] for a in matrices[:3]]
+    calls = []
     tarjan = network._strongly_connected_components
-    monkeypatch.setattr(network, "_strongly_connected_components", lambda succ: passes.append(succ) or tarjan(succ))
-    for a, answers in zip(matrices, expected):
+
+    def spy(succ):
+        components = tarjan(succ)
+        calls.append((succ, components))
+        return components
+
+    def one_whole_pass_then_residues(m, johnson):
+        (whole, known), *rest = calls
+        assert isinstance(whole, tuple) and len(whole) == m
+        known = list(known)
+        for succ, components in rest:
+            assert any(succ == _residue(component) for component in known)
+            known.extend(components)
+        # Johnson's search takes every component in turn, with one pass over its residue
+        assert len(rest) == (len(known) if johnson else 0)
+        calls.clear()
+
+    monkeypatch.setattr(network, "_strongly_connected_components", spy)
+    for k, (a, answers) in enumerate(zip(matrices, expected)):
         net = network_from_matrix(a)
-        assert (separated_check(net), min_cycle_mean(net)) == answers
-        assert len(passes) == 1
-        passes.clear()
+        assert graph_answers(net) == answers
+        assert calls[0][0] is a._cells
+        one_whole_pass_then_residues(a.n, johnson=True)
+        if k < 3:
+            assert [r.to_json() for r in network.verify_matrix(a, 8, 20)] == reports[k]
+            assert calls[0][0] is a._cells
+            one_whole_pass_then_residues(a.n, johnson=False)
+        path = tmp_path / f"m{k}.json"
+        path.write_text(json.dumps(a.to_json()), encoding="utf-8")
+        for argv in (["circuits"], ["eigenvalue", "--method", "karp"], ["verify"])[: 3 if k < 3 else 2]:
+            assert main([*argv, "--format", "json", str(path)]) in (0, 4)
+            capsys.readouterr()
+            one_whole_pass_then_residues(a.n, johnson=argv[0] == "circuits")
 
 
 def test_coefficient_check_golden(example7):

@@ -119,6 +119,13 @@ def test_factorization_validation():
         Factorization(factors=((EPSILON, 1),), xpower=0)
     with pytest.raises(ValueError):
         Factorization(factors=(), xpower=-1)
+    # a multiplicity and the x-power are counts: ints, never bools
+    for mult in (1.5, 1.0, True, Fraction(1), "1"):
+        with pytest.raises(TypeError, match="multiplicities"):
+            Factorization(factors=((MinPlusValue(1), mult),), xpower=0)
+    for xpower in (0.0, True, False, Fraction(1, 2), None):
+        with pytest.raises(TypeError, match="x-power"):
+            Factorization(factors=(), xpower=xpower)
 
 
 def test_breakpoints():
@@ -139,6 +146,10 @@ def test_parse_polynomial():
         parse_polynomial('{"degree": 3, "coeffs": [0, 1]}')
     with pytest.raises(ParseError):
         parse_polynomial('{"coeffs": []}')
+    # "degree" is a count: a bool, float or string is refused, even when it matches
+    for degree in ("true", "1.0", '"1"', "null"):
+        with pytest.raises(ParseError, match='"degree" must be an integer'):
+            parse_polynomial(f'{{"degree": {degree}, "coeffs": [0, 1]}}')
 
 
 def test_formatting():

@@ -66,6 +66,10 @@ def test_power():
 def test_power_rejects_negative_exponent():
     with pytest.raises(ValueError):
         power(2, -1)
+    # a bool is not an exponent, as it is not a value
+    for k in (True, False, 1.0, Fraction(2)):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            power(3, k)
 
 
 def test_ordering_epsilon_on_top():
