@@ -1,26 +1,33 @@
-"""Square matrices over the min-plus semiring.
+r"""Square matrices over the min-plus semiring.
 
 Matrices are immutable: every operation returns a new matrix. A matrix
 doubles as the weighted adjacency matrix of a directed weighted graph,
 with ε entries standing for absent edges.
 
-A matrix is stored once, at construction, in the scaled int form that
-every kernel reads: each entry times D as a Python int, None for ε, where
-D is the least common multiple of the reduced denominators of the finite
-entries (1 when there are none). D is canonical, so equal matrices have
-equal forms. The parsers build that form straight from the distinct
-tokens of the input; the entries as min-plus values (``rows``) are built
-only when asked for.
+A matrix is stored in the scaled int form that every kernel reads: each
+entry times D as a Python int, None for ε, where D is the least common
+multiple of the reduced denominators of the finite entries (1 when there
+are none). D is canonical, so equal matrices have equal forms. The
+parsers build that form straight from the distinct tokens of the input;
+the entries as min-plus values (``rows``) are built only when asked for.
 
-The finite cells have one view of their own, ``_cells``: per row, the
+The int form has two views, each the mirror image of the other: the
+dense rows (``_ints``), and the finite cells (``_cells``): per row, the
 (column, weight times D) pairs of its finite entries in column order,
-columns from 0. The text parser hands the view over with the ints. A wide
-row with few distinct finite values has its finite columns found as it is
-read, in one C-level pass, and its int row is filled from its cells; any
-other row is mapped whole, and its cells are read off its ints. So an
-ε-heavy matrix reaches its graph (``network_from_matrix``) and the product
-kernels with Python work in its finite cells, not in all n² entries. Every
-other matrix builds the view from its ints on first use.
+columns from 0. A matrix holds at least one of them and builds the other
+from it on first use.
+
+The text parser reads a line, ended by "\n", "\r\n" or "\r" only, in
+one of two ways. In a matrix of order n over 32, a row after the first
+in which fewer than n/32 tokens are other than one ε spelling already
+decoded is read by C-level str methods, with no string made per ε:
+only its other tokens are decoded, and their columns counted. Any
+other row, or one that fails a check of that reading, is split into
+all its tokens, so its errors are reported as before. Either way its finite cells are kept in C-level passes, and
+the parser hands over the cells alone. So an ε-heavy matrix reaches its
+graph (``network_from_matrix``), its circuits and its cycle mean with
+Python work in its finite cells, and its n² dense form is built only if
+a dense kernel, ``==`` or ``hash`` reads it.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ __all__ = [
 class MinPlusMatrix:
     """An n-by-n matrix of min-plus values, held as (ints, D)."""
 
-    __slots__ = ("_ints", "_d", "_rows", "_cell_rows")
+    __slots__ = ("_int_rows", "_d", "_rows", "_cell_rows")
 
     def __init__(self, rows):
         values = tuple(tuple(_ratio(_rational(x)) for x in row) for row in rows)
@@ -70,14 +77,15 @@ class MinPlusMatrix:
             if len(row) != n:
                 raise ValueError(f"matrix must be square, got a row of length {len(row)} in an order-{n} matrix")
         d = _common_denominator(chain.from_iterable(values))
-        self._ints = tuple(tuple(_scaled(pair, d) for pair in row) for row in values)
+        self._int_rows = tuple(tuple(_scaled(pair, d) for pair in row) for row in values)
         self._d = d
         self._rows = self._cell_rows = None
 
     @classmethod
     def _from_scaled(cls, ints, d: int, cells=None) -> "MinPlusMatrix":
         """The matrix ints / d from a square tuple of int-or-None tuples,
-        with nothing coerced; cells, when given, is its ``_cells`` view.
+        with nothing coerced; cells, when given, is its ``_cells`` view,
+        and ints may then be None, to be built from it on first use.
         d and the entries are divided by their common factor, taken over
         the finite cells, so D is canonical."""
         if d > 1:
@@ -86,28 +94,44 @@ class MinPlusMatrix:
             else:
                 g = gcd(d, *map(itemgetter(1), chain.from_iterable(cells)))
             if g > 1:
-                ints = tuple(tuple(None if w is None else w // g for w in row) for row in ints)
+                if ints is not None:
+                    ints = tuple(tuple(None if w is None else w // g for w in row) for row in ints)
                 if cells is not None:
                     cells = tuple(tuple((j, w // g) for j, w in row) for row in cells)
                 d //= g
         matrix = object.__new__(cls)
-        matrix._ints, matrix._d, matrix._rows, matrix._cell_rows = ints, d, None, cells
+        matrix._int_rows, matrix._d, matrix._rows, matrix._cell_rows = ints, d, None, cells
         return matrix
+
+    @property
+    def _ints(self) -> tuple[tuple[int | None, ...], ...]:
+        """Per row, every entry times D as an int, None for ε; built from
+        the finite cells on first use unless given at construction."""
+        if self._int_rows is None:
+            n = len(self._cell_rows)
+            ints = []
+            for cells in self._cell_rows:
+                row = [None] * n
+                for j, w in cells:
+                    row[j] = w
+                ints.append(tuple(row))
+            self._int_rows = tuple(ints)
+        return self._int_rows
 
     @property
     def _cells(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per row, the (column, weight times D) pairs of its finite
         entries, in column order; built from the ints on first use unless
-        the parser handed them over."""
+        given at construction."""
         if self._cell_rows is None:
             self._cell_rows = tuple(
-                tuple((j, w) for j, w in enumerate(row) if w is not None) for row in self._ints
+                tuple((j, w) for j, w in enumerate(row) if w is not None) for row in self._int_rows
             )
         return self._cell_rows
 
     @property
     def n(self) -> int:
-        return len(self._ints)
+        return len(self._cell_rows if self._int_rows is None else self._int_rows)
 
     @property
     def rows(self) -> tuple[tuple[MinPlusValue, ...], ...]:
@@ -243,14 +267,15 @@ def trace(a: MinPlusMatrix) -> MinPlusValue:
 
 
 def parse_matrix(text: str) -> MinPlusMatrix:
-    """Parse a matrix from JSON ({"n": ..., "rows": [[...], ...]}) or plain text.
+    r"""Parse a matrix from JSON ({"n": ..., "rows": [[...], ...]}) or plain text.
 
     The plain-text form is n lines of n whitespace-separated tokens; each
     token is an integer, exact decimal, "p/q", or an ε token ("inf", "eps").
+    A line ends at "\n", "\r\n" or "\r"; other whitespace separates tokens.
     Blank lines are skipped, and counted in the line numbers of errors.
     Each distinct token is decoded once to a (numerator, denominator) pair;
-    D comes from the distinct finite values, and the rows and their finite
-    cells (see the module docstring) are filled with the scaled ints.
+    D comes from the distinct finite values, and the finite cells (see the
+    module docstring) are filled with the scaled ints.
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -286,53 +311,102 @@ def _matrix_from_json(obj) -> MinPlusMatrix:
 
 def _parse_matrix_text(text: str) -> MinPlusMatrix:
     pairs: dict = {}  # each distinct token's pair, None for ε
-    blanks = set()  # the ε tokens among them
-    found = []  # per row: its finite columns and their tokens, or None and all its tokens
+    blanks: list = []  # the ε tokens among them, in the order first seen
+    found = []  # per row: the columns and tokens of its finite cells
     n = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if not n:
-            n, columns = len(tokens), range(len(tokens))
-        elif len(tokens) != n:
-            raise ParseError(f"expected {n} entries, found {len(tokens)}", line=lineno)
-        distinct = set(tokens)
-        for token in distinct.difference(pairs):
+    for lineno, line in enumerate(_lines(text), start=1):
+        kept = _sparse_row(line, n, blanks) if n > 32 and blanks else None
+        if kept is not None:
             try:
-                if pairs.setdefault(token, _decode_token(token)) is None:
-                    blanks.add(token)
+                _decode_new(kept[1], pairs, blanks)
+            except ParseError:
+                kept = None  # read whole below, which reports the leftmost bad entry
+        if kept is None:
+            tokens = line.split()
+            if not tokens:
+                continue
+            if not n:
+                n, columns = len(tokens), range(len(tokens))
+            elif len(tokens) != n:
+                raise ParseError(f"expected {n} entries, found {len(tokens)}", line=lineno)
+            try:
+                _decode_new(tokens, pairs, blanks)
             except ParseError:
                 _raise_leftmost_bad_entry(tokens, lineno)
-        if 32 * (len(distinct) - len(blanks)) < n:
-            # under one distinct finite value per 32 columns: find the finite columns in
-            # one C-level pass over the tokens set() has hashed (ε's None is falsy, a pair
-            # is not), and keep only their tokens; a narrower or denser row costs less
-            # kept whole and mapped in one pass once D is known
-            cols = tuple(compress(columns, map(pairs.__getitem__, tokens)))
-            found.append((cols, tuple(map(tokens.__getitem__, cols))))
-        else:
-            found.append((None, tokens))
+            kept = columns, tokens
+        # keep the finite cells in C-level passes: ε's None is falsy, a pair is not
+        cols, tokens = kept
+        finite = tuple(map(pairs.__getitem__, tokens))
+        found.append((tuple(compress(cols, finite)), tuple(compress(tokens, finite))))
     if not n:
         raise ParseError("empty matrix input")
     if len(found) != n:
         raise ParseError(f"{len(found)} rows of {n} entries each do not form a square matrix")
     d = _common_denominator(pairs.values())
     scaled = {token: None if pair is None else pair[0] * (d // pair[1]) for token, pair in pairs.items()}
-    ints, cells = [], []
+    cells = []
     for i, (cols, kept) in enumerate(found):
-        found[i] = None  # the row's tokens go as its ints come
-        weights = tuple(map(scaled.__getitem__, kept))
-        if cols is None:
-            cells.append(tuple([(j, w) for j, w in enumerate(weights) if w is not None]))
+        found[i] = None  # the row's tokens go as its cells come
+        cells.append(tuple(zip(cols, map(scaled.__getitem__, kept))))
+    return MinPlusMatrix._from_scaled(None, d, tuple(cells))
+
+
+def _decode_new(tokens, pairs: dict, blanks: list):
+    """Decode into pairs each distinct token not there yet, and add the ε
+    tokens among them to blanks."""
+    for token in set(tokens).difference(pairs):
+        if pairs.setdefault(token, _decode_token(token)) is None:
+            blanks.append(token)
+
+
+def _lines(text: str):
+    r"""The lines of text, one at a time and without their ends. A line
+    ends at "\n", "\r\n" or "\r" only: str.splitlines also ends one at
+    "\v", "\f", "\x1c"-"\x1e", "\x85", "\u2028" and "\u2029", which
+    split() reads as whitespace between tokens."""
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start)
+        if stop < 0:
+            stop = end
+        line = text[start:stop]
+        start = stop + 1
+        if "\r" in line:
+            yield from line.removesuffix("\r").split("\r")
         else:
-            cells.append(tuple(zip(cols, weights)))
-            row = [None] * n
-            for j, w in zip(cols, weights):
-                row[j] = w
-            weights = tuple(row)
-        ints.append(weights)
-    return MinPlusMatrix._from_scaled(tuple(ints), d, tuple(cells))
+            yield line
+
+
+def _sparse_row(line: str, n: int, blanks: list):
+    r"""The (columns, tokens) of the cells of an order-n row that are not
+    its most frequent known ε token, found by C-level str methods with
+    no string made per ε; None unless fewer than n/32 cells are others.
+
+    Each occurrence of the ε token is blanked with as many spaces, so one
+    split() makes strings of the other tokens alone. Every occurrence is
+    a whole token, and the row has n tokens, when no two occurrences
+    touch, no other token touches an occurrence (each is bounded by
+    whitespace in the line), and the occurrences and the other tokens
+    number n. A token's column is the number of occurrences before it
+    plus its rank among the others."""
+    count, _, blank = max((line.count(token), len(token), token) for token in blanks)
+    if 32 * (n - count) >= n:
+        return None
+    blanked = line.replace(blank, " " * len(blank))
+    others = blanked.split()
+    if count + len(others) != n or blank + blank in line:
+        return None
+    cols = []
+    occurrences = pos = 0
+    for rank, token in enumerate(others):
+        start = blanked.find(token, pos)
+        end = start + len(token)
+        if line[start - 1 : start].strip() or line[end : end + 1].strip():
+            return None  # glued to an occurrence
+        occurrences += line.count(blank, pos, start)
+        cols.append(occurrences + rank)
+        pos = end
+    return cols, others
 
 
 def _raise_leftmost_bad_entry(tokens, lineno: int):

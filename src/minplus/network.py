@@ -230,11 +230,7 @@ def matrix_from_network(net: Network) -> MinPlusMatrix:
     """Weighted adjacency matrix; inverse of network_from_matrix."""
     if net.m == 0:
         raise ValueError("matrix order must be at least 1")
-    rows = [[None] * net.m for _ in range(net.m)]
-    for row, pairs in zip(rows, net._cells):
-        for j, w in pairs:
-            row[j] = w
-    return MinPlusMatrix._from_scaled(tuple(map(tuple, rows)), net._d, net._cells)
+    return MinPlusMatrix._from_scaled(None, net._d, net._cells)
 
 
 def _strongly_connected_components(succ) -> list[_Component]:

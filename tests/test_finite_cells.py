@@ -11,6 +11,7 @@ builds by coercing, scaling and sorting its edges.
 """
 
 import json
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -22,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from minplus import (
     MinPlusMatrix,
     Network,
+    ParseError,
     epsilon_matrix,
     identity,
     mat_oplus,
@@ -30,12 +32,17 @@ from minplus import (
     matrix_from_network,
     network_from_matrix,
     parse_matrix,
+    parse_value,
     scalar_otimes,
 )
 
 VALUES = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 13)) | st.just(Fraction(0))
 EPSILON_SPELLINGS = ["inf", "eps", "INF", "ε", "+inf", "infinity", "epsilon"]
 BLANK_LINES = ["", "   ", "\t", " \t "]
+# between tokens: tabs, runs of spaces, and whitespace that is no line end
+SEPARATORS = [" ", "  ", "\t", " \t ", "\t\t"]
+ODD_SEPARATORS = ["   ", "\f", "\v", "\x1c", "\x85", "\u2028"]
+BAD_TOKENS = ["3inf", "infinf", "\0", "inf\0", "x", "1/0"]
 
 
 def comprehension(a: MinPlusMatrix):
@@ -48,14 +55,17 @@ def canonical_d(rows) -> int:
 
 @st.composite
 def rows_of_every_kind(draw):
-    """Square rows of Fractions and None, of order 1-12 or 33-48: each row
-    all ε, one or two finite cells, one finite value repeated, or mostly
-    distinct values, this last only below order 13 (the text parser
-    locates the finite cells of a wide row with few distinct finite values
-    before it scales them, and keeps any other row whole)."""
-    n = draw(st.integers(1, 12) | st.integers(33, 48))
+    """Square rows of Fractions and None, of order 1-12, 33-48, 64 or 65:
+    each row all ε, one or two finite cells, the most finite cells under
+    n/32 or one more, one finite value repeated, or mostly distinct
+    values, this last only below order 13. In a text of order over 32,
+    the parser reads a row after the first by C-level str methods when
+    fewer than n/32 of its tokens are other than one ε spelling, and any
+    other row token by token, so those orders put rows on both sides of
+    that bound (at order 64, two cells are exactly n/32)."""
+    n = draw(st.integers(1, 12) | st.sampled_from([*range(33, 49), 64, 65]))
     columns = st.integers(0, n - 1)
-    kinds = ["all ε", "sparse", "repeated", "distinct"][: 4 if n < 13 else 3]
+    kinds = ["all ε", "sparse", "near n/32", "repeated", "distinct"][: 5 if n < 13 else 4]
     rows = []
     for _ in range(n):
         kind = draw(st.sampled_from(kinds))
@@ -63,6 +73,9 @@ def rows_of_every_kind(draw):
             finite = {}
         elif kind == "sparse":
             finite = draw(st.dictionaries(columns, VALUES, min_size=1, max_size=2))
+        elif kind == "near n/32":
+            size = (n - 1) // 32 + draw(st.integers(0, 1))  # the most cells under n/32, or one more
+            finite = draw(st.dictionaries(columns, VALUES, min_size=size, max_size=size))
         elif kind == "repeated":
             finite = dict.fromkeys(draw(st.sets(columns, min_size=1)), draw(VALUES))
         else:
@@ -72,34 +85,86 @@ def rows_of_every_kind(draw):
 
 
 @st.composite
-def text_forms(draw):
-    """(values, text): blank and whitespace-only lines anywhere, several ε
-    spellings in one row, zero weights, and p/q cells written unreduced,
-    most with one factor common to the whole text, so that D and the ints
-    share a factor that must be divided out."""
+def text_forms(draw, malformed=False):
+    r"""(values, text): blank and whitespace-only lines anywhere, a main ε
+    spelling per row with a few others next to it (a spelling may be
+    first seen in the middle of the text), tabs, runs of spaces and
+    other non-line-end whitespace between tokens, \n, \r\n or \r line
+    ends, zero weights, and p/q cells written unreduced, most with one
+    factor common to the whole text, so that D and the ints share a
+    factor that must be divided out. With malformed, one row may also
+    hold a bad token, and be one token short or long."""
     rows = draw(rows_of_every_kind())
+    n = len(rows)
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     common = draw(st.integers(1, 6))
+    mains = draw(st.lists(st.sampled_from(EPSILON_SPELLINGS), min_size=1, max_size=2))
+    odd = draw(st.dictionaries(cells, st.sampled_from(EPSILON_SPELLINGS), max_size=8))  # other ε spellings
+    gaps = draw(st.dictionaries(cells, st.sampled_from(ODD_SEPARATORS), max_size=8))
+    broken = draw(st.integers(0, n - 1)) if malformed else None
 
-    def line(row):
-        spellings = draw(st.lists(st.sampled_from(EPSILON_SPELLINGS), min_size=1, max_size=3))
+    def line(i, row):
+        main = draw(st.sampled_from(mains))
         m = common if draw(st.integers(0, 4)) else draw(st.integers(1, 4))
         plain = draw(st.booleans())  # integers written as such when m is 1
 
         def cell(j, q):
             if q is None:
-                return spellings[j % len(spellings)]
+                return odd.get((i, j), main)
             if q.denominator == 1 and m == 1 and plain:
                 return str(q.numerator)
             return f"{q.numerator * m}/{q.denominator * m}"
 
-        return draw(st.sampled_from([" ", "  ", "\t"])).join(cell(j, q) for j, q in enumerate(row))
+        tokens = [cell(j, q) for j, q in enumerate(row)]
+        if i == broken:
+            if draw(st.booleans()):
+                tokens[draw(st.integers(0, n - 1))] = draw(st.sampled_from(BAD_TOKENS))
+            tokens = tokens[: n + draw(st.integers(-1, 1))] + [main] * draw(st.integers(0, 1))
+        sep = draw(st.sampled_from(SEPARATORS))
+        text = "".join(token + gaps.get((i, j), sep) for j, token in enumerate(tokens))
+        return draw(st.sampled_from(["", " ", "\t"])) + text
 
     lines = []
-    for row in rows:
+    for i, row in enumerate(rows):
         lines += draw(st.lists(st.sampled_from(BLANK_LINES), max_size=2))
-        lines.append(line(row))
+        lines.append(line(i, row))
     lines += draw(st.lists(st.sampled_from(BLANK_LINES), max_size=2))
-    return rows, draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+    return rows, draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + "\n"
+
+
+def read_by_line_split(text: str) -> MinPlusMatrix:
+    r"""The reference reader: lines ended at \n, \r\n or \r, each split()
+    into tokens, and each token parsed on its own, left to right."""
+    rows, n = [], 0
+    for lineno, line in enumerate(re.split("\r\n|\r|\n", text), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if not n:
+            n = len(tokens)
+        elif len(tokens) != n:
+            raise ParseError(f"expected {n} entries, found {len(tokens)}", line=lineno)
+        row = []
+        for column, token in enumerate(tokens, start=1):
+            try:
+                row.append(parse_value(token))
+            except ParseError as exc:
+                raise ParseError(f"bad matrix entry {token!r}", line=lineno, column=column) from exc
+        rows.append(row)
+    if not n:
+        raise ParseError("empty matrix input")
+    if len(rows) != n:
+        raise ParseError(f"{len(rows)} rows of {n} entries each do not form a square matrix")
+    return MinPlusMatrix(rows)
+
+
+def outcome(read, text):
+    """What a reader makes of text: the matrix's scaled forms, or its ParseError."""
+    try:
+        a = read(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+    return a._ints, a._cells, a._d
 
 
 def json_text(draw, rows) -> str:
@@ -123,6 +188,45 @@ def test_parsed_text_hands_over_the_cell_view(forms):
     assert a._cells == comprehension(a)
     assert a == MinPlusMatrix(rows)
     assert a._d == canonical_d(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text_forms(malformed=True))
+def test_text_rows_read_as_line_split_reads_them(forms):
+    rows, text = forms
+    assert outcome(parse_matrix, text) == outcome(read_by_line_split, text)
+
+
+def epsilon_text(n: int, tokens: dict, blank: str = "inf") -> str:
+    """An order-n text of blank tokens but for tokens[i, j] at row i, column j."""
+    return "".join(" ".join(tokens.get((i, j), blank) for j in range(n)) + "\n" for i in range(n))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # three other cells, under n/32 = 3.125, at the first, a middle and the last column
+        epsilon_text(100, {**{(i, i): "1" for i in range(100)}, (5, 0): "-2/4", (5, 99): "3", (7, 0): "ε", (7, 99): "eps"}),
+        # the ε spelling inside other tokens: only whole tokens are ε
+        epsilon_text(40, {(1, 3): "+inf", (2, 0): "infinity", (3, 39): "infinity", (4, 4): "INF"}),
+        # a NUL token, and a token that reads as a number once its ε spelling is blanked
+        epsilon_text(40, {(0, 0): "7", (2, 1): "\0", (2, 5): "inf1"}),
+        epsilon_text(40, {(3, 8): "3inf", (3, 9): "infinf"}),
+        # a row one token short, whose ε spelling count and other tokens still add up to n
+        epsilon_text(40, {(2, 38): "infinf", (2, 39): ""}),
+        epsilon_text(40, {(2, 38): "inf5", (2, 39): ""}),
+        epsilon_text(40, {(2, 38): "5inf", (2, 39): ""}),
+        # a row one token short or long, holding a bad token or not
+        epsilon_text(40, {(2, 39): ""}),
+        epsilon_text(40, {(2, 39): "inf 1"}),
+        epsilon_text(40, {(2, 4): "x", (2, 39): ""}),
+        epsilon_text(40, {(2, 4): "x", (2, 39): "inf inf"}),
+        epsilon_text(40, {(0, 1): "2"}, blank="ε").replace("ε ε ε", "ε\tε\fε   ε"),
+    ],
+    ids=["several-others", "spelling-inside-tokens", "nul", "bad-tokens", "glued", "glued-after", "glued-before", "short", "long", "short-bad", "long-bad", "whitespace"],
+)
+def test_crafted_rows_read_as_line_split_reads_them(text):
+    assert outcome(parse_matrix, text) == outcome(read_by_line_split, text)
 
 
 @settings(max_examples=100, deadline=None)

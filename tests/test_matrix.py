@@ -174,6 +174,17 @@ def test_parse_errors_carry_location():
         parse_matrix('{"n": 3, "rows": [[1]]}')
     with pytest.raises(ParseError):
         parse_matrix("")
+    # a line ends at \n, \r\n or \r only: \v, \f, \x1c-\x1e, \x85, \u2028 and
+    # \u2029 separate tokens, as split() reads them, and do not end a line
+    for space in "\v\f\x1c\x1d\x1e\x85\u2028\u2029":
+        assert parse_matrix(f"1 2\n3{space}4\n") == M([[1, 2], [3, 4]])
+        with pytest.raises(ParseError) as err:
+            parse_matrix(f"1 2{space}\n3 x\n")
+        assert (err.value.line, err.value.column) == (2, 2)
+    for end in ("\n", "\r\n", "\r"):
+        with pytest.raises(ParseError) as err:
+            parse_matrix(f"1 2{end}{end}3 x{end}")
+        assert (err.value.line, err.value.column) == (3, 2)
 
 
 def test_matrix_must_be_square():

@@ -414,9 +414,10 @@ def test_graph_commands_read_only_the_int_adjacency(monkeypatch, tmp_path, capsy
             assert code in (0, 4) and err == "" and out, (argv, k, code, err)
 
 
-def test_network_from_a_parsed_text_matrix_reads_only_its_finite_cells(monkeypatch):
-    # the text parser hands its finite cells to the matrix, so the network
-    # of a long ε-heavy cycle is built without reading a dense int row
+def test_network_from_a_parsed_text_matrix_reads_only_its_finite_cells():
+    # the text parser hands over the finite cells alone, so a long ε-heavy
+    # cycle is parsed, made a network, searched and given its cycle mean
+    # without its dense int form ever being built
     n = 300
     order = list(range(1, n + 1))
     random.Random(20261019).shuffle(order)
@@ -426,15 +427,8 @@ def test_network_from_a_parsed_text_matrix_reads_only_its_finite_cells(monkeypat
     rows = [[cells.get((t, h)) for h in range(1, n + 1)] for t in range(1, n + 1)]
     text = "\n\n".join(" ".join("inf" if w is None else str(w) for w in row) for row in rows) + "\n"
     parsed, from_json = parse_matrix(text), parse_matrix(json.dumps(MinPlusMatrix(rows).to_json()))
-
-    def refuse(self):
-        raise AssertionError("MinPlusMatrix._ints read")
-
-    monkeypatch.setattr(MinPlusMatrix, "_ints", property(refuse))
+    assert parsed._int_rows is None and from_json._int_rows is not None
     net = network_from_matrix(parsed)
-    with pytest.raises(AssertionError, match="_ints read"):
-        network_from_matrix(from_json)  # its view is built from the ints
-    monkeypatch.undo()
     coerced = Network(m=n, edges=tuple(sorted(edges)))
     assert (net, hash(net), repr(net)) == (coerced, hash(coerced), repr(coerced))
     assert net._cells is parsed._cells
@@ -444,6 +438,30 @@ def test_network_from_a_parsed_text_matrix_reads_only_its_finite_cells(monkeypat
     assert net._components == [{t - 1: ((h - 1, w * 12),) for t, h, w in edges}]
     [circuit] = enumerate_circuits(net)
     assert (circuit.length, circuit.weight) == (n, sum(weights))
+    assert min_cycle_mean(net) == MinPlusValue(Fraction(sum(weights), n))
+    assert parsed._int_rows is None
+    assert network_from_matrix(from_json) == net
+
+
+def test_dense_ints_built_on_demand_match_the_held_form():
+    # a parsed text matrix, some of its rows all ε, is handed over as cells
+    # alone; everything that reads its dense form builds it once, equal to
+    # the form a constructor holds
+    text = "0 inf 2 inf inf\ninf inf inf inf inf\ninf 1/2 inf -3 inf\neps eps eps eps eps\n7 inf inf inf 5/4\n"
+    parsed = parse_matrix(text)
+    assert parsed._int_rows is None
+    assert parsed.n == 5
+    rows = [[0, None, 2, None, None], [None] * 5, [None, Fraction(1, 2), None, -3, None], [None] * 5]
+    rows.append([7, None, None, None, Fraction(5, 4)])
+    held = MinPlusMatrix(rows)
+    assert parsed == held and hash(parsed) == hash(held)
+    assert (parsed._ints, parsed._d) == (held._ints, held._d) == (held._int_rows, 4)
+    assert parsed._ints is parsed._int_rows
+    assert parsed.rows == held.rows
+    assert parsed.principal_submatrix([0, 2, 4]) == held.principal_submatrix([0, 2, 4])
+    assert charpoly_tropdet(parsed) == charpoly_tropdet(held)
+    back = matrix_from_network(network_from_matrix(held))  # handed the network's cells alone
+    assert back._int_rows is None and back == held
 
 
 def _residue(component):
