@@ -12,22 +12,35 @@ Two distinct constructions are provided:
   recursion for characteristic polynomials. It is computed as the
   equivalent scalar recursion over the closed-walk minima Tr(A^k).
 
+Every circuit lies inside one strongly connected class of the matrix's
+graph, and a principal minor is finite only through a family of disjoint
+circuits that covers its indices, so tropdet(A ⊕ x⊗I) is the ⊗-product of
+the classes' own polynomials, times x for each vertex on no circuit
+(Frobenius normal form: Butkovič, Max-linear Systems, 2010; Akian, Bapat &
+Gaubert, Handbook of Linear Algebra, ch. 25, 2006). Each kernel here runs
+per class (``MinPlusMatrix._classes``) and merges the results: a class that
+is one circuit of length l and weight W contributes x^l ⊕ W in closed form,
+and any other class is scanned or probed on its own rows.
+
 Every root of the first polynomial is fixed by the lower hull of the
 points (j, c_j) alone, that is by the function f(x) = tropdet(A ⊕ x⊗I) =
 min_j c_j + (n-j)·x. ``canonical_charpoly_tropdet`` finds that hull by
-parametric assignment on A ⊕ X⊗I (Eisner–Severance probing; Burkard &
-Butkovič, DAM 130, 2003; Gassner & Klinz, Networks 55, 2010), in at most
-2n+1 probes, so it has no size cap; ``factor``, ``roots``, ``plot-data``
-and ``eigenvalue`` use it. It works in units of L·D with L = lcm(1..n),
-in which every probe point is an integer and a probe moves only the
-diagonal, and it keeps one optimal assignment and its duals across the
-probes: each probe re-augments only the rows whose diagonal change broke
-their dual constraint or their matched cell's tightness. The coefficients
-off the hull (the best principal submatrix problem, of open complexity)
-need the subset scan of ``charpoly_tropdet``, which ``charpoly`` and
-``verify`` keep, under their cap. The scan costs one shortest augmenting
-path per subset, O(2^n·n^2) in all: each minor's optimal assignment
-extends that of its parent, one row and one column smaller.
+parametric assignment on each class's C ⊕ X⊗I (Eisner–Severance probing;
+Burkard & Butkovič, DAM 130, 2003; Gassner & Klinz, Networks 55, 2010), in
+at most k probes for a class of order k, and merges the classes' convex
+sequences, so it has no size cap; ``factor``, ``roots``, ``plot-data`` and
+``eigenvalue`` use it. A class of order k is probed in units of L·D with
+L = lcm(1..k), in which every probe point is an integer and a probe moves
+only the diagonal, and it keeps one optimal assignment and its duals
+across the probes: each probe re-augments only the rows whose diagonal
+change broke their dual constraint or their matched cell's tightness. The
+coefficients off the hull (the best principal submatrix problem, of open
+complexity) need the subset scan of ``charpoly_tropdet``, which
+``charpoly`` and ``verify`` keep, under their cap on the order of each
+class scanned. The scan costs one shortest augmenting path per subset of
+a class, O(Σ 2^k·k^2) over the classes of order k that are not single
+circuits: each minor's optimal assignment extends that of its parent, one
+row and one column smaller.
 
 Any optimal matching at X is a supporting line of the hull. Let k of
 its matched diagonal cells take X, let S be the other n-k indices and
@@ -58,7 +71,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import CapExceeded
-from .matrix import MinPlusMatrix, _int_product
+from .matrix import MinPlusMatrix, _Component, _int_product, _single_circuit
 from .polynomial import MinPlusPolynomial, _hull_corners, _require_monic, canonicalize
 from .semiring import EPSILON, MinPlusValue, _unscaled
 
@@ -218,16 +231,68 @@ def _check_subset_cap(n: int, cap: int) -> None:
         raise CapExceeded(f"principal-minor enumeration is capped at order {cap} (got {n})")
 
 
+def _class_rows(succ: _Component, scale: int = 1) -> list[list[int | None]]:
+    """A class's own rows, dense, its vertices renumbered 0..k-1 in any
+    order (a principal minor's determinant does not depend on it): each
+    internal weight times scale, None for ε."""
+    pos = {v: i for i, v in enumerate(succ)}
+    rows = []
+    for pairs in succ.values():
+        row: list[int | None] = [None] * len(pos)
+        for head, w in pairs:
+            row[pos[head]] = scale * w
+        rows.append(row)
+    return rows
+
+
+def _class_product(classes: list[_Component], kernel) -> dict[int, int]:
+    """The min-plus product over the classes of their own sequences, each
+    held as {j: c_j} over its finite entries: {0: 0, l: W} for a class
+    that is one circuit of length l and weight W, kernel(class) for any
+    other. ε is skipped: r_j = min over i + l = j of p_i + q_l."""
+    product = {0: 0}
+    for succ in classes:
+        circuit = _single_circuit(succ)
+        factor = {0: 0, circuit[0]: circuit[1]} if circuit is not None else kernel(succ)
+        r: dict[int, int] = {}
+        for i, x in product.items():
+            for l, y in factor.items():
+                if i + l not in r or x + y < r[i + l]:
+                    r[i + l] = x + y
+        product = r
+    return product
+
+
 def charpoly_tropdet(a: MinPlusMatrix, cap: int = SUBSET_CAP) -> MinPlusPolynomial:
     """The characteristic polynomial tropdet(A ⊕ x⊗I), as coefficients.
 
     c_0 = 0 and c_j = min over size-j index subsets S of the tropical
-    determinant of A restricted to S. The subsets are visited depth-first
-    in inclusion order, a child being S ∪ {k} with k > max S, and each
-    child's optimal assignment extends its parent's by one shortest
-    augmenting path (``_augment``, the step of ``_assignment``): the
-    child copies the parent's matching and duals, takes
-    v_k = min_{i∈S} a_ik - u_i so that column k is dual feasible, and
+    determinant of A restricted to S. It is the ⊗-product of the classes'
+    polynomials (see the module docstring): a class that is one circuit
+    gives x^l ⊕ W, any other class the subset scan of its own rows
+    (``_subset_scan``; the matrix's rows when the class is all of it). The
+    cap bounds the order of the largest class scanned, and is checked
+    before any scan starts.
+    """
+    scanned = [len(succ) for succ in a._classes if _single_circuit(succ) is None]
+    if scanned and max(scanned) > cap:
+        raise CapExceeded(
+            f"principal-minor enumeration is capped at order {cap} "
+            f"(got a strongly connected class of order {max(scanned)})"
+        )
+    coeffs = _class_product(a._classes, lambda succ: _subset_scan(a._ints if len(succ) == a.n else _class_rows(succ)))
+    return MinPlusPolynomial._from_scaled(tuple(coeffs.get(j) for j in range(a.n + 1)), a._d)
+
+
+def _subset_scan(ints) -> dict[int, int]:
+    """{j: c_j} over the finite c_j (c_0 = 0 among them) of the principal
+    minors of dense int rows, None for ε.
+
+    The subsets are visited depth-first in inclusion order, a child being
+    S ∪ {k} with k > max S, and each child's optimal assignment extends its
+    parent's by one shortest augmenting path (``_augment``, the step of
+    ``_assignment``): the child copies the parent's matching and duals,
+    takes v_k = min_{i∈S} a_ik - u_i so that column k is dual feasible, and
     augments from row k, whose first round sets u_k = min_j a_kj - v_j.
     That is one O(j^2) augmentation per subset, O(2^n·n^2) in all.
 
@@ -237,18 +302,17 @@ def charpoly_tropdet(a: MinPlusMatrix, cap: int = SUBSET_CAP) -> MinPlusPolynomi
     one through an ε cell at least B+1, so a minor is finite iff its
     optimal cost is at most B.
     """
-    n = a.n
-    _check_subset_cap(n, cap)
-    bound = sum(max((abs(w) for w in row if w is not None), default=0) for row in a._ints)
-    rows = [[2 * bound + 1 if w is None else w for w in row] for row in a._ints]
-    coeffs: list[int | None] = [0] + [None] * n
+    n = len(ints)
+    bound = sum(max((abs(w) for w in row if w is not None), default=0) for row in ints)
+    rows = [[2 * bound + 1 if w is None else w for w in row] for row in ints]
+    coeffs = {0: 0}
     zeros = [0] * (n + 1)
     # (the subset S as 1-based columns in increasing order, its cost, u, v, match)
     stack = [((), 0, zeros, zeros, zeros)]
     while stack:
         subset, cost, u, v, match = stack.pop()
         j = len(subset)
-        if j and cost <= bound and (coeffs[j] is None or cost < coeffs[j]):
+        if j and cost <= bound and (j not in coeffs or cost < coeffs[j]):
             coeffs[j] = cost
         for k in range(subset[-1] + 1 if subset else 1, n + 1):
             child = subset + (k,)
@@ -256,7 +320,7 @@ def charpoly_tropdet(a: MinPlusMatrix, cap: int = SUBSET_CAP) -> MinPlusPolynomi
             cv[k] = min((rows[i - 1][k - 1] - cu[i] for i in subset), default=0)
             _augment(rows, child, cu, cv, cm, k)  # ε is finite here, so it always augments
             stack.append((child, sum(rows[cm[c] - 1][c - 1] for c in child), cu, cv, cm))
-    return MinPlusPolynomial._from_scaled(tuple(coeffs), a._d)
+    return coeffs
 
 
 def _reprobe(rows, diagonal, u, v, match, p: int) -> tuple[int, int]:
@@ -299,51 +363,67 @@ def _reprobe(rows, diagonal, u, v, match, p: int) -> tuple[int, int]:
 
 
 def canonical_charpoly_tropdet(a: MinPlusMatrix) -> MinPlusPolynomial:
-    """canonicalize(charpoly_tropdet(a)), from at most 2n+1 probes of one assignment.
+    """canonicalize(charpoly_tropdet(a)), from the classes' lower hulls.
 
-    Eisner–Severance probing of f(x) = tropdet(A ⊕ x⊗I) (see the module
-    docstring), in units of L·D with L = lcm(1..n): every probe point
-    X = p/q has q <= n, so it is the integer P = p·L/q, and the probe
-    solves the assignment problem on L·A with min(L·a_ii, P) on the
-    diagonal. If k matched diagonal cells took x, the optimal matching is
-    the supporting line c_j + (n-j)·x with j = n-k and c_j = (cost - k·P)/L.
+    The polynomial is the ⊗-product of the classes' polynomials (see the
+    module docstring), so its lower hull is the Minkowski sum of theirs:
+    the lower hull of the min-plus product of the classes' hull points
+    (``_class_product``). A class that is one circuit of length l and
+    weight W has the two points (0, 0) and (l, W); any other class's hull
+    is probed (``_class_hull``). No size cap applies.
+    """
+    points = _class_product(a._classes, _class_hull)
+    coeffs = tuple(points.get(j) for j in range(a.n + 1))
+    return canonicalize(MinPlusPolynomial._from_scaled(coeffs, a._d))
+
+
+def _class_hull(succ: _Component) -> dict[int, int]:
+    """{j: c_j} at points on the lower hull of one class's polynomial, its
+    corners among them, from at most k probes of one assignment on the
+    class's k-by-k rows.
+
+    Eisner–Severance probing of f(x) = tropdet(C ⊕ x⊗I) (see the module
+    docstring), in units of L·D with L = lcm(1..k): every probe point
+    X = p/q has q <= k, so it is the integer P = p·L/q, and the probe
+    solves the assignment problem on L·C with min(L·c_ii, P) on the
+    diagonal. If m matched diagonal cells took x, the optimal matching is
+    the supporting line c_j + (k-j)·x with j = k-m and c_j = (cost - m·P)/L.
     One matching and its duals are kept from probe to probe, and a probe
     re-augments only the rows its diagonal change unsettles (``_reprobe``).
 
     The first probe, beyond every breakpoint, finds the largest coverable
     j; then each probe at the meeting point of the lines of two hull points
-    i < k either finds a point strictly below both (a new corner: search
+    i < l either finds a point strictly below both (a new corner: search
     both sides) or confirms the meeting point as a breakpoint. A probe with
-    k = i+1 can only confirm, and is skipped: a point strictly below both
-    lines at their meeting point lies strictly below the chord from i to k,
-    and every point outside [i, k] lies on or above that chord, because i
-    and k are on the lower hull. No size cap applies.
+    l = i+1 can only confirm, and is skipped: a point strictly below both
+    lines at their meeting point lies strictly below the chord from i to l,
+    and every point outside [i, l] lies on or above that chord, because i
+    and l are on the lower hull.
     """
-    n = a.n
-    unit = lcm(*range(1, n + 1))
-    rows = [[None if w is None else unit * w for w in row] for row in a._ints]
+    k = len(succ)
+    unit = lcm(*range(1, k + 1))
+    rows = _class_rows(succ, unit)
     diagonal = [row[i] for i, row in enumerate(rows)]
-    u, v, match = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    u, v, match = [0] * (k + 1), [0] * (k + 1), [0] * (k + 1)
 
     def probe(p: int) -> tuple[int, int, int]:
         """(L·f(p/L), j, c_j) for a supporting line of f at p/L."""
-        cost, k = _reprobe(rows, diagonal, u, v, match, p)
-        return cost, n - k, (cost - k * p) // unit
+        cost, m = _reprobe(rows, diagonal, u, v, match, p)
+        return cost, k - m, (cost - m * p) // unit
 
-    # past X the lines' x-terms outweigh any coefficient gap, |c_j - c_i| <= 2n·max|a|
-    reach = 2 * n * max((abs(w) for row in a._ints for w in row if w is not None), default=0) + 1
+    # past X the lines' x-terms outweigh any coefficient gap, |c_j - c_i| <= 2k·max|c|
+    reach = 2 * k * max(abs(w) for pairs in succ.values() for _, w in pairs) + 1
     _, r, c_r = probe(reach * unit)
     points = {0: 0, r: c_r}
     pending = [(0, r)] if r > 1 else []
     while pending:
-        i, k = pending.pop()
-        p = (points[k] - points[i]) * unit // (k - i)  # the lines of i and k meet at p/L
+        i, l = pending.pop()
+        p = (points[l] - points[i]) * unit // (l - i)  # the lines of i and l meet at p/L
         cost, j, c_j = probe(p)
-        if cost < unit * points[i] + (n - i) * p:
+        if cost < unit * points[i] + (k - i) * p:
             points[j] = c_j
-            pending += [(s, t) for s, t in ((i, j), (j, k)) if t - s > 1]
-    coeffs = tuple(points.get(j) for j in range(n + 1))
-    return canonicalize(MinPlusPolynomial._from_scaled(coeffs, a._d))
+            pending += [(s, t) for s, t in ((i, j), (j, l)) if t - s > 1]
+    return points
 
 
 def _closed_walk_minima(a: MinPlusMatrix) -> list[int | None]:

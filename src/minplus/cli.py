@@ -74,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def cap_subsets(p):
         p.add_argument("--cap-subsets", type=_positive_int, default=SUBSET_CAP,
-                       help="order cap for the principal-minor scan")
+                       help="cap on the order of each strongly connected class the principal-minor "
+                            "scan covers; a class that is one circuit is not scanned")
 
     hull, either = ("tropdet", "flv"), "polynomial or matrix file"
     p = command("charpoly", "characteristic polynomial(s) of a matrix", ("tropdet", "flv", "both"), "both")
@@ -257,7 +258,9 @@ def cmd_verify(args) -> int:
         raise ParseError("give either a matrix file or --random-separated, not both")
     caps = (args.cap_perms, args.cap_subsets)
     if args.random_separated is not None:
-        _check_subset_cap(args.size, args.cap_subsets)  # before building any O(size²) instance
+        # a planted instance's classes are single circuits, which need no scan, but its build
+        # is O(size²): the order itself is bounded here, before any instance is built
+        _check_subset_cap(args.size, args.cap_subsets)
         rng = random.Random(args.seed)
         instances = []
         for index in range(args.random_separated):

@@ -17,6 +17,11 @@ dense rows (``_ints``), and the finite cells (``_cells``): per row, the
 columns from 0. A matrix holds at least one of them and builds the other
 from it on first use.
 
+The finite cells also give the strongly connected classes of the
+matrix's graph (``_classes``): one Tarjan pass, made on first use and
+kept with the matrix, which the tropdet kernels and the graph kernels of
+``network`` share.
+
 The text parser reads a line, ended by "\n", "\r\n" or "\r" only, in
 one of two ways. In a matrix of order n over 32, a row after the first
 in which fewer than n/32 tokens are other than one ε spelling already
@@ -62,11 +67,14 @@ __all__ = [
     "load_matrix",
 ]
 
+# a strongly connected class: each vertex's (head, weight times D) pairs inside it
+_Component = dict[int, tuple[tuple[int, int], ...]]
+
 
 class MinPlusMatrix:
     """An n-by-n matrix of min-plus values, held as (ints, D)."""
 
-    __slots__ = ("_int_rows", "_d", "_rows", "_cell_rows")
+    __slots__ = ("_int_rows", "_d", "_rows", "_cell_rows", "_class_list")
 
     def __init__(self, rows):
         values = tuple(tuple(_ratio(_rational(x)) for x in row) for row in rows)
@@ -79,7 +87,7 @@ class MinPlusMatrix:
         d = _common_denominator(chain.from_iterable(values))
         self._int_rows = tuple(tuple(_scaled(pair, d) for pair in row) for row in values)
         self._d = d
-        self._rows = self._cell_rows = None
+        self._rows = self._cell_rows = self._class_list = None
 
     @classmethod
     def _from_scaled(cls, ints, d: int, cells=None) -> "MinPlusMatrix":
@@ -101,6 +109,7 @@ class MinPlusMatrix:
                 d //= g
         matrix = object.__new__(cls)
         matrix._int_rows, matrix._d, matrix._rows, matrix._cell_rows = ints, d, None, cells
+        matrix._class_list = None
         return matrix
 
     @property
@@ -128,6 +137,17 @@ class MinPlusMatrix:
                 tuple((j, w) for j, w in enumerate(row) if w is not None) for row in self._int_rows
             )
         return self._cell_rows
+
+    @property
+    def _classes(self) -> list[_Component]:
+        """Each strongly connected class of the matrix's graph that holds a
+        circuit, as its vertices' internal (column, weight times D) pairs
+        (``_strongly_connected_components``): one Tarjan pass over the
+        finite cells on first use, which every kernel that reads the
+        classes shares."""
+        if self._class_list is None:
+            self._class_list = _strongly_connected_components(self._cells)
+        return self._class_list
 
     @property
     def n(self) -> int:
@@ -234,6 +254,69 @@ def _int_product(rows, succ) -> list[list[int | None]]:
                     out[j] = s
         product.append(out)
     return product
+
+
+def _strongly_connected_components(succ) -> list[_Component]:
+    """Tarjan's algorithm, iterative, on a graph given as succ[v], the
+    (head, w) pairs of each vertex v: a dict, or a sequence over vertices
+    0..len - 1, every head a vertex. Each component that holds a circuit
+    comes out as {v: the pairs of v whose head is in the component}."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    on_stack: set[int] = set()
+    stack: list[int] = []
+    components: list[_Component] = []
+    for root in succ if isinstance(succ, dict) else range(len(succ)):
+        if root in index:
+            continue
+        work = [(root, iter(succ[root]))]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, edge_iter = work[-1]
+            for head, _ in edge_iter:
+                if head not in index:
+                    index[head] = low[head] = len(index)
+                    stack.append(head)
+                    on_stack.add(head)
+                    work.append((head, iter(succ[head])))
+                    break
+                if head in on_stack and index[head] < low[v]:
+                    low[v] = index[head]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == index[v]:
+                    members = {v}
+                    while (w := stack.pop()) != v:
+                        members.add(w)
+                    on_stack -= members
+                    if len(members) == len(succ):  # the whole graph: every pair is inside
+                        component = {u: tuple(succ[u]) for u in members}
+                    else:
+                        component = {u: tuple([p for p in succ[u] if p[0] in members]) for u in members}
+                    if len(members) > 1 or component[v]:
+                        components.append(component)
+    return components
+
+
+def _single_circuit(component: _Component) -> tuple[int, int] | None:
+    """(length, weight) of a strongly connected class that is one circuit,
+    None for any other class that holds a circuit.
+
+    A class is one circuit iff it has as many internal edges as vertices,
+    i.e. every vertex has one internal out-edge: k vertices and k internal
+    edges make one circuit, and a vertex with two internal out-edges
+    (v, u) and (v, u') lies on two circuits, each closed by a path back to
+    v inside the class.
+    """
+    if all(len(pairs) == 1 for pairs in component.values()):
+        return len(component), sum(w for [(_, w)] in component.values())
+    return None
 
 
 def scalar_otimes(alpha, a: MinPlusMatrix) -> MinPlusMatrix:

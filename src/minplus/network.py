@@ -7,7 +7,7 @@ computes the minimum circuit average weight (the eigenvalue oracle), and
 cross-verifies the characteristic-polynomial structure theorems against
 graph data. `verify_matrix` runs every check on one matrix from one
 computation of each polynomial, one component pass and one subset dynamic
-program over the graph; it lists no circuits.
+program per component; it lists no circuits.
 
 A network holds its graph in one form, its matrix's finite cells
 (``_cells``): per vertex, its (head, weight times D) pairs in head order,
@@ -16,7 +16,10 @@ reduced denominators. A network built from a matrix shares the matrix's
 cells and D. One component pass over the cells gives each strongly
 connected component that holds a circuit as its vertices' internal pairs
 (``_components``), and every graph kernel here reads that: Johnson's
-circuit search, Karp's minimum cycle mean and the separation checks.
+circuit search, Karp's minimum cycle mean, the family minima and the
+separation checks. A network built from a matrix takes the matrix's own
+classes (``MinPlusMatrix._classes``), so the tropdet kernels and the graph
+kernels make one pass per matrix between them.
 Fractions appear only in ``edges``, in each ``Circuit`` and in results.
 
 Vertices are labeled 1..m in ``edges``, circuits and every result,
@@ -30,9 +33,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .charpoly import charpoly_flv, charpoly_tropdet, tropdet_assignment, tropdet_bruteforce
+from .charpoly import _class_product, charpoly_flv, charpoly_tropdet, tropdet_assignment, tropdet_bruteforce
 from .errors import CapExceeded
-from .matrix import MinPlusMatrix
+from .matrix import MinPlusMatrix, _Component, _single_circuit, _strongly_connected_components
 from .polynomial import Factorization, MinPlusPolynomial, canonicalize, factorize, is_equivalent
 from .semiring import EPSILON, MinPlusValue, _common_denominator, _is_int, _ratio, _rational, _scaled
 
@@ -58,9 +61,6 @@ __all__ = [
 
 CIRCUIT_CAP = 10**6
 EXHAUSTIVE_CAP = 10
-
-# a strongly connected component: each vertex's (head, weight times D) pairs inside it
-_Component = dict[int, tuple[tuple[int, int], ...]]
 
 
 def _finite(weight) -> Fraction:
@@ -109,8 +109,9 @@ class Network:
     def _components(self) -> list[_Component]:
         """Each strongly connected component that holds a circuit, as its
         vertices' internal (head, weight times D) pairs: one component pass
-        per network, which the circuit search, Karp and the separation
-        checks share."""
+        per network, which the circuit search, Karp, the family minima and
+        the separation checks share. ``network_from_matrix`` sets it to the
+        matrix's own classes."""
         return _strongly_connected_components(self._cells)
 
     def successors(self) -> dict[int, list[tuple[int, Fraction]]]:
@@ -211,10 +212,12 @@ class Report:
 
 def network_from_matrix(a: MinPlusMatrix) -> Network:
     """One edge (i, j, a_ij) per finite entry: the network holds the
-    matrix's finite cells themselves, and the dense ints are not scanned."""
+    matrix's finite cells themselves, and the dense ints are not scanned.
+    Its components are the matrix's strongly connected classes, found once
+    per matrix."""
     cells, d = a._cells, a._d
     edges = tuple([(i, j + 1, Fraction(w, d)) for i, row in enumerate(cells, start=1) for j, w in row])
-    return _unchecked(Network, m=len(cells), edges=edges, _cells=cells, _d=d)
+    return _unchecked(Network, m=len(cells), edges=edges, _cells=cells, _d=d, _components=a._classes)
 
 
 def _unchecked(cls, **fields):
@@ -231,50 +234,6 @@ def matrix_from_network(net: Network) -> MinPlusMatrix:
     if net.m == 0:
         raise ValueError("matrix order must be at least 1")
     return MinPlusMatrix._from_scaled(None, net._d, net._cells)
-
-
-def _strongly_connected_components(succ) -> list[_Component]:
-    """Tarjan's algorithm, iterative, on a graph given as succ[v], the
-    (head, w) pairs of each vertex v: a dict, or a sequence over vertices
-    0..len - 1, every head a vertex. Each component that holds a circuit
-    comes out as {v: the pairs of v whose head is in the component}."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    components: list[_Component] = []
-    for root in succ if isinstance(succ, dict) else range(len(succ)):
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, edge_iter = work[-1]
-            for head, _ in edge_iter:
-                if head not in index:
-                    index[head] = low[head] = len(index)
-                    stack.append(head)
-                    on_stack.add(head)
-                    work.append((head, iter(succ[head])))
-                    break
-                if head in on_stack:
-                    low[v] = min(low[v], index[head])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == index[v]:
-                    members = {v}
-                    while (w := stack.pop()) != v:
-                        members.add(w)
-                    on_stack -= members
-                    component = {u: tuple([p for p in succ[u] if p[0] in members]) for u in members}
-                    if len(members) > 1 or component[v]:
-                        components.append(component)
-    return components
 
 
 def _circuits_through(start: int, succ: _Component):
@@ -348,12 +307,13 @@ def _karp_component(succ: _Component, d: int) -> Fraction:
     """Minimum cycle mean of one strongly connected component, given as
     its vertices' internal (head, weight times d) pairs.
 
-    A component with as many internal edges as vertices is one circuit
-    (see separated_check), so its mean is its weight over its length;
-    any other takes Karp's walk table (_karp_walks).
+    A component that is one circuit (``_single_circuit``) has its weight
+    over its length as its mean; any other takes Karp's walk table
+    (_karp_walks).
     """
-    if all(len(pairs) == 1 for pairs in succ.values()):
-        return Fraction(sum(w for [(_, w)] in succ.values()), len(succ) * d)
+    circuit = _single_circuit(succ)
+    if circuit is not None:
+        return Fraction(circuit[1], circuit[0] * d)
     return _karp_walks(succ, d)
 
 
@@ -453,9 +413,22 @@ def enumerate_extended_circuits(
 
 def _family_minima(net: Network) -> dict[int, Fraction]:
     """Least weight of a vertex-disjoint circuit family of total length j,
-    for each j that has one, by one dynamic program over vertex subsets S
-    (bitmasks, bit v for vertex v, counted from 0) on the network's finite
-    cells; no circuit is listed.
+    for each j that has one; no circuit is listed.
+
+    Every circuit lies inside one strongly connected component, so a
+    family is one family per component, and the minima are the min-plus
+    product of the components' own (``_class_product``): a component that
+    is one circuit has its length and weight alone, any other takes the
+    subset program of ``_component_family_minima``.
+    """
+    minima = _class_product(net._components, _component_family_minima)
+    return {j: Fraction(total, net._d) for j, total in minima.items() if j}
+
+
+def _component_family_minima(component: _Component) -> dict[int, int]:
+    """{j: least weight} of the circuit families inside one component, j = 0
+    included, by one dynamic program over its vertex subsets S (bitmasks,
+    bit v for the component's v-th vertex, in any order).
 
     Order a family's circuits by decreasing lowest vertex: the family is
     then built in exactly one way, opening each circuit at its lowest
@@ -469,12 +442,14 @@ def _family_minima(net: Network) -> dict[int, Fraction]:
         paths[S ∪ {u}][u] ≤ closed[S]               for u < min(S),
 
     and closed[S] is the least weight of a family covering exactly S. Each
-    step goes to a larger mask, so one ascending pass takes O(2^n · m).
+    step goes to a larger mask, so one ascending pass takes O(2^k · m) on
+    a component of k vertices and m internal edges.
     """
-    succ = net._cells
-    paths: dict[int, dict[int, int]] = {1 << u: {u: 0} for u in range(net.m)}
-    minima: dict[int, int] = {}
-    for s in range(1, 1 << net.m):
+    pos = {v: i for i, v in enumerate(component)}
+    succ = [[(pos[h], w) for h, w in pairs] for pairs in component.values()]
+    paths: dict[int, dict[int, int]] = {1 << u: {u: 0} for u in range(len(succ))}
+    minima = {0: 0}
+    for s in range(1, 1 << len(succ)):
         ends = paths.pop(s, None)
         if ends is None:
             continue
@@ -496,7 +471,7 @@ def _family_minima(net: Network) -> dict[int, Fraction]:
             target = paths.setdefault(s | 1 << u, {})
             if u not in target or closed < target[u]:
                 target[u] = closed
-    return {j: Fraction(total, net._d) for j, total in minima.items()}
+    return minima
 
 
 def _coefficient_report(poly: MinPlusPolynomial, minima: dict[int, Fraction]) -> Report:
@@ -512,26 +487,24 @@ def _coefficient_report(poly: MinPlusPolynomial, minima: dict[int, Fraction]) ->
 def coefficient_check(a: MinPlusMatrix) -> Report:
     """Compare each coefficient of tropdet(A ⊕ x⊗I) with the minimum
     weight sum of vertex-disjoint circuit families of that total length,
-    computed by a dynamic program over vertex subsets that reads the graph
-    only (see `_family_minima`). The subset scan of `charpoly_tropdet`
-    runs first, so its cap stops both 2^n stages."""
+    computed by a dynamic program over the vertex subsets of each
+    component that reads the graph only (see `_family_minima`). The subset
+    scan of `charpoly_tropdet` runs first, so its cap stops both
+    exponential stages, which scan the same components."""
     return _coefficient_report(charpoly_tropdet(a), _family_minima(network_from_matrix(a)))
 
 
 def _is_separated(components: list[_Component]) -> bool:
-    return all(len(pairs) == 1 for succ in components for pairs in succ.values())
+    return all(_single_circuit(succ) is not None for succ in components)
 
 
 def separated_check(net: Network) -> bool:
     """Whether every vertex belongs to at most one elementary circuit.
 
-    Decided from the strongly connected components in O(n + m): the
-    network is separated iff no vertex has two out-edges inside its own
-    component, i.e. every component has at most as many internal edges as
-    vertices. Proof: a component with k vertices and exactly k internal
-    edges is one circuit, a single vertex without a loop has none, and a
-    vertex with two internal out-edges (v, u) and (v, u') lies on two
-    circuits, each closed by a path back to v inside the component.
+    Decided from the strongly connected components in O(n + m): a vertex
+    on a circuit lies in a component that holds one, so the network is
+    separated iff each such component is one circuit, i.e. has as many
+    internal edges as vertices (``_single_circuit``).
     """
     return _is_separated(net._components)
 
@@ -604,8 +577,9 @@ def verify_matrix(a: MinPlusMatrix, cap_perms: int, cap_subsets: int) -> list[Re
     """Every check of `minplus verify` on one matrix: the tropdet oracle,
     separation, coefficients, separated factorization and the corollary
     equivalence. No circuit is listed. The subset scan of `charpoly_tropdet`
-    runs first, so an order above `cap_subsets` is refused before the
-    permutation brute force or the family-minima program starts."""
+    runs first, so a component above `cap_subsets` that is not one circuit
+    is refused before the permutation brute force or the family-minima
+    program starts: that program scans the same components."""
     g = charpoly_tropdet(a, cap=cap_subsets)
     if a.n <= cap_perms:
         brute, solver = tropdet_bruteforce(a, cap=cap_perms), tropdet_assignment(a)

@@ -92,8 +92,13 @@ def test_charpoly_trivial_matrices():
 
 
 def test_charpoly_tropdet_cap():
-    with pytest.raises(CapExceeded):
-        charpoly_tropdet(identity(5), cap=4)
+    # every entry finite: one strongly connected class of order 5, scanned whole
+    a = MinPlusMatrix([[(3 * i + 7 * j) % 11 - 4 for j in range(5)] for i in range(5)])
+    with pytest.raises(CapExceeded, match=r"capped at order 4 \(got a strongly connected class of order 5\)"):
+        charpoly_tropdet(a, cap=4)
+    assert charpoly_tropdet(a, cap=5) == charpoly_tropdet(a)
+    # loops alone are classes that are one circuit each: nothing is scanned, whatever the order
+    assert charpoly_tropdet(identity(40), cap=1).coeffs == (E,) * 41
 
 
 def test_pointwise_definition_random():

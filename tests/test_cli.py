@@ -369,10 +369,16 @@ def test_a_cap_a_command_does_not_read_is_a_usage_error(command, flag, example_f
 
 
 def test_every_kept_cap_is_honoured(run, example_file):
-    for argv in (("charpoly", "--cap-subsets", "3"), ("verify", "--cap-subsets", "3")):
-        assert run(*argv, example_file) == (
-            3, "", "error: principal-minor enumeration is capped at order 3 (got 7)\n"
+    # the example's one strongly connected class with a circuit is {1, 2, 3, 4}, not one
+    # circuit: the subset cap bounds its order, not the matrix's order 7
+    for command in ("charpoly", "verify"):
+        assert run(command, "--cap-subsets", "3", example_file) == (
+            3, "", "error: principal-minor enumeration is capped at order 3 "
+            "(got a strongly connected class of order 4)\n"
         )
+        default = run(command, example_file)
+        assert default[0] == 0
+        assert run(command, "--cap-subsets", "4", example_file) == default
     # the example has four circuits
     assert run("circuits", "--cap-circuits", "3", example_file) == (
         3, "", "error: circuit enumeration exceeded the cap of 3\n"

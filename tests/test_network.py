@@ -7,6 +7,8 @@ from itertools import combinations, permutations
 
 import pytest
 
+from minplus import charpoly as charpoly_module
+from minplus import matrix as matrix_module
 from minplus import network
 from minplus.cli import main
 from minplus import (
@@ -17,6 +19,7 @@ from minplus import (
     MinPlusMatrix,
     MinPlusValue,
     Network,
+    canonical_charpoly_tropdet,
     charpoly_flv,
     charpoly_tropdet,
     coefficient_check,
@@ -362,20 +365,40 @@ def test_verify_matrix_above_the_old_exhaustive_cap_matches_oracles():
         assert reports["separated_factorization"].passed
 
 
+def _class_with_free_vertices(k, small=0):
+    """A strongly connected class of order k (a shuffled k-cycle with chords
+    two steps on), and a class of order small built the same way if small
+    > 1, led to by two vertices on no circuit."""
+    n = k + small + 2
+    rows = [[EPS] * n for _ in range(n)]
+    for start, size in ((2, k), (2 + k, small)):
+        for i in range(size):
+            rows[start + i][start + (i + 1) % size] = i % 5 - 2
+            if size > 2:
+                rows[start + i][start + (i + 2) % size] = 3 - i % 4
+    rows[0][1] = rows[0][2] = rows[1][n - 1] = 1
+    order = list(range(n))
+    random.Random(k).shuffle(order)
+    return MinPlusMatrix([[rows[order[i]][order[j]] for j in range(n)] for i in range(n)])
+
+
 def test_verify_matrix_subset_cap_stops_before_family_minima(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work done past the subset cap")
 
     monkeypatch.setattr(network, "_family_minima", refuse)
     monkeypatch.setattr(network, "tropdet_bruteforce", refuse)
-    a = diag(*range(12))
-    with pytest.raises(CapExceeded, match="capped at order 11"):
+    # the class of order 3 is under the cap, and is not scanned either: the cap is checked first
+    monkeypatch.setattr(charpoly_module, "_subset_scan", refuse)
+    a = _class_with_free_vertices(12, small=3)
+    message = r"capped at order 11 \(got a strongly connected class of order 12\)"
+    with pytest.raises(CapExceeded, match=message):
         network.verify_matrix(a, cap_perms=9, cap_subsets=11)
     # an order within the brute-force cap is still refused before the brute force runs
-    with pytest.raises(CapExceeded, match="capped at order 11"):
-        network.verify_matrix(a, cap_perms=12, cap_subsets=11)
+    with pytest.raises(CapExceeded, match=message):
+        network.verify_matrix(a, cap_perms=17, cap_subsets=11)
     with pytest.raises(CapExceeded, match="capped at order 16"):
-        coefficient_check(diag(*range(17)))
+        coefficient_check(_class_with_free_vertices(17))
 
 
 def test_verify_lists_no_circuits(monkeypatch, example7):
@@ -471,32 +494,40 @@ def _residue(component):
 
 
 def test_separated_check_and_min_cycle_mean_share_one_component_pass(monkeypatch, tmp_path, capsys, example7):
-    # per network, one Tarjan pass over all m vertices feeds every graph kernel;
-    # Johnson's search runs Tarjan again only on what is left of a component it
-    # has searched, once that component's smallest vertex goes
+    # per matrix, one Tarjan pass over all n vertices feeds every tropdet kernel and
+    # every graph kernel; Johnson's search runs Tarjan again only on what is left of a
+    # component it has searched, once that component's smallest vertex goes
     n = 300
     order = list(range(1, n + 1))
     random.Random(20261020).shuffle(order)
     cells = {(order[k], order[(k + 1) % n]): Fraction(k % 7 - 3, 1 + k % 2) for k in range(n)}
     cycle = MinPlusMatrix([[cells.get((t, h)) for h in range(1, n + 1)] for t in range(1, n + 1)])
-    matrices = (example7, diag(3, 1, 2), plant_separated_instance(random.Random(5), 9)[0], cycle)
+    matrices = (example7, diag(3, 1, 2), plant_separated_instance(random.Random(5), 9)[0],
+                _class_with_free_vertices(6, small=3), cycle)
 
-    def graph_answers(net):
-        return separated_check(net), min_cycle_mean(net), enumerate_circuits(net)
+    def fresh(a):
+        # the same matrix, with no classes found yet
+        return MinPlusMatrix._from_scaled(a._ints, a._d)
 
-    expected = [graph_answers(network_from_matrix(a)) for a in matrices]
-    reports = [[r.to_json() for r in network.verify_matrix(a, 8, 20)] for a in matrices[:3]]
+    def all_answers(a):
+        net = network_from_matrix(a)
+        return (separated_check(net), min_cycle_mean(net), enumerate_circuits(net),
+                charpoly_tropdet(a), canonical_charpoly_tropdet(a))
+
+    expected = [all_answers(fresh(a)) for a in matrices]
+    reports = [[r.to_json() for r in network.verify_matrix(fresh(a), 8, 20)] for a in matrices[:4]]
     calls = []
-    tarjan = network._strongly_connected_components
+    tarjan = matrix_module._strongly_connected_components
 
     def spy(succ):
         components = tarjan(succ)
         calls.append((succ, components))
         return components
 
-    def one_whole_pass_then_residues(m, johnson):
+    def one_whole_pass_then_residues(m, johnson, cells=None):
         (whole, known), *rest = calls
         assert isinstance(whole, tuple) and len(whole) == m
+        assert cells is None or whole is cells
         known = list(known)
         for succ, components in rest:
             assert any(succ == _residue(component) for component in known)
@@ -505,19 +536,22 @@ def test_separated_check_and_min_cycle_mean_share_one_component_pass(monkeypatch
         assert len(rest) == (len(known) if johnson else 0)
         calls.clear()
 
+    monkeypatch.setattr(matrix_module, "_strongly_connected_components", spy)
     monkeypatch.setattr(network, "_strongly_connected_components", spy)
+    commands = (["circuits"], ["eigenvalue", "--method", "karp"], ["charpoly", "--method", "tropdet"], ["factor"],
+                ["eigenvalue", "--method", "all"], ["charpoly"], ["verify"])
     for k, (a, answers) in enumerate(zip(matrices, expected)):
-        net = network_from_matrix(a)
-        assert graph_answers(net) == answers
-        assert calls[0][0] is a._cells
-        one_whole_pass_then_residues(a.n, johnson=True)
-        if k < 3:
-            assert [r.to_json() for r in network.verify_matrix(a, 8, 20)] == reports[k]
-            assert calls[0][0] is a._cells
-            one_whole_pass_then_residues(a.n, johnson=False)
+        b = fresh(a)
+        assert all_answers(b) == answers
+        one_whole_pass_then_residues(a.n, True, b._cells)
+        if k < 4:
+            b = fresh(a)
+            assert [r.to_json() for r in network.verify_matrix(b, 8, 20)] == reports[k]
+            one_whole_pass_then_residues(a.n, False, b._cells)
         path = tmp_path / f"m{k}.json"
         path.write_text(json.dumps(a.to_json()), encoding="utf-8")
-        for argv in (["circuits"], ["eigenvalue", "--method", "karp"], ["verify"])[: 3 if k < 3 else 2]:
+        # the trace recursion of flv is O(n^3) on the 300-cycle: the last three commands skip it
+        for argv in commands[: len(commands) if k < 4 else 4]:
             assert main([*argv, "--format", "json", str(path)]) in (0, 4)
             capsys.readouterr()
             one_whole_pass_then_residues(a.n, johnson=argv[0] == "circuits")
