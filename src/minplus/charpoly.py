@@ -58,11 +58,12 @@ dense input). The solver, the subset scan and the hull's probes share one
 augmentation step, ``_augment``.
 
 All inner loops run on Python ints, with None for ε: they read the
-matrix's own scaled int form (its entries times the least common multiple
-D of their denominators, built once when the matrix is), and each result
-is divided back exactly by D. Every step is a sum, a difference or a
-minimum, so scaling by D > 0 commutes with it and the results are the same
-exact rationals as a computation on Fractions.
+matrix's finite cells (its entries times the least common multiple D of
+their denominators), or dense rows that a kernel builds from them for its
+own use (``matrix._dense``), and each result is divided back exactly by
+D. Every step is a sum, a difference or a minimum, so scaling by D > 0
+commutes with it and the results are the same exact rationals as a
+computation on Fractions.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import CapExceeded
-from .matrix import MinPlusMatrix, _Component, _int_product, _single_circuit
+from .matrix import MinPlusMatrix, _Component, _dense, _int_product, _single_circuit
 from .polynomial import MinPlusPolynomial, _hull_corners, _require_monic, canonicalize
 from .semiring import EPSILON, MinPlusValue, _unscaled
 
@@ -108,9 +109,9 @@ def tropdet_bruteforce(a: MinPlusMatrix, cap: int = BRUTE_FORCE_CAP) -> MinPlusV
             f"(got {n}); use tropdet_assignment instead"
         )
     if n == 1:
-        return _unscaled(a._ints[0][0], a._d)
+        return a[0, 0]
     cells = a._cells
-    last = a._ints[-1]
+    last = dict(cells[-1])  # row n-1's finite cells by column
     taken = [False] * n
     left = n * (n - 1) // 2  # the sum of the columns not taken
     sums = [0]  # sums[i]: the sum of the cells taken in rows 0..i-1
@@ -131,7 +132,7 @@ def tropdet_bruteforce(a: MinPlusMatrix, cap: int = BRUTE_FORCE_CAP) -> MinPlusV
             continue
         total = sums[-1] + w
         if len(stack) == n - 1:  # row n-1 takes the one column left
-            cell = last[left - j]
+            cell = last.get(left - j)
             if cell is not None and (best is None or total + cell < best):
                 best = total + cell
         else:
@@ -222,7 +223,7 @@ def _assignment(rows) -> tuple[int, list[int]] | None:
 
 def tropdet_assignment(a: MinPlusMatrix) -> MinPlusValue:
     """Tropical determinant via minimum-cost assignment; no size cap."""
-    solved = _assignment(a._ints)
+    solved = _assignment(_dense(a._cells))
     return _unscaled(None if solved is None else solved[0], a._d)
 
 
@@ -236,13 +237,7 @@ def _class_rows(succ: _Component, scale: int = 1) -> list[list[int | None]]:
     order (a principal minor's determinant does not depend on it): each
     internal weight times scale, None for ε."""
     pos = {v: i for i, v in enumerate(succ)}
-    rows = []
-    for pairs in succ.values():
-        row: list[int | None] = [None] * len(pos)
-        for head, w in pairs:
-            row[pos[head]] = scale * w
-        rows.append(row)
-    return rows
+    return _dense([[(pos[head], scale * w) for head, w in pairs] for pairs in succ.values()])
 
 
 def _class_product(classes: list[_Component], kernel) -> dict[int, int]:
@@ -270,9 +265,8 @@ def charpoly_tropdet(a: MinPlusMatrix, cap: int = SUBSET_CAP) -> MinPlusPolynomi
     determinant of A restricted to S. It is the ⊗-product of the classes'
     polynomials (see the module docstring): a class that is one circuit
     gives x^l ⊕ W, any other class the subset scan of its own rows
-    (``_subset_scan``; the matrix's rows when the class is all of it). The
-    cap bounds the order of the largest class scanned, and is checked
-    before any scan starts.
+    (``_subset_scan`` on ``_class_rows``). The cap bounds the order of the
+    largest class scanned, and is checked before any scan starts.
     """
     scanned = [len(succ) for succ in a._classes if _single_circuit(succ) is None]
     if scanned and max(scanned) > cap:
@@ -280,7 +274,7 @@ def charpoly_tropdet(a: MinPlusMatrix, cap: int = SUBSET_CAP) -> MinPlusPolynomi
             f"principal-minor enumeration is capped at order {cap} "
             f"(got a strongly connected class of order {max(scanned)})"
         )
-    coeffs = _class_product(a._classes, lambda succ: _subset_scan(a._ints if len(succ) == a.n else _class_rows(succ)))
+    coeffs = _class_product(a._classes, lambda succ: _subset_scan(_class_rows(succ)))
     return MinPlusPolynomial._from_scaled(tuple(coeffs.get(j) for j in range(a.n + 1)), a._d)
 
 
@@ -434,7 +428,7 @@ def _closed_walk_minima(a: MinPlusMatrix) -> list[int | None]:
     """
     n = a.n
     traces: list[int | None] = [None]
-    power = a._ints
+    power = _dense(a._cells)
     for k in range(1, n + 1):
         if k > 1:
             power = _int_product(power, a._cells)

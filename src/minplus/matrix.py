@@ -4,18 +4,14 @@ Matrices are immutable: every operation returns a new matrix. A matrix
 doubles as the weighted adjacency matrix of a directed weighted graph,
 with ε entries standing for absent edges.
 
-A matrix is stored in the scaled int form that every kernel reads: each
-entry times D as a Python int, None for ε, where D is the least common
-multiple of the reduced denominators of the finite entries (1 when there
-are none). D is canonical, so equal matrices have equal forms. The
-parsers build that form straight from the distinct tokens of the input;
-the entries as min-plus values (``rows``) are built only when asked for.
-
-The int form has two views, each the mirror image of the other: the
-dense rows (``_ints``), and the finite cells (``_cells``): per row, the
+A matrix holds one int form, its finite cells (``_cells``): per row, the
 (column, weight times D) pairs of its finite entries in column order,
-columns from 0. A matrix holds at least one of them and builds the other
-from it on first use.
+columns from 0, where D is the least common multiple of the reduced
+denominators of the finite entries (1 when there are none). D is
+canonical, so equal matrices have equal cells. The parsers build the
+cells straight from the distinct tokens of the input; the entries as
+min-plus values (``rows``) are built only when asked for, and a kernel
+that reads dense rows builds its own (``_dense``).
 
 The finite cells also give the strongly connected classes of the
 matrix's graph (``_classes``): one Tarjan pass, made on first use and
@@ -28,11 +24,10 @@ in which fewer than n/32 tokens are other than one ε spelling already
 decoded is read by C-level str methods, with no string made per ε:
 only its other tokens are decoded, and their columns counted. Any
 other row, or one that fails a check of that reading, is split into
-all its tokens, so its errors are reported as before. Either way its finite cells are kept in C-level passes, and
-the parser hands over the cells alone. So an ε-heavy matrix reaches its
-graph (``network_from_matrix``), its circuits and its cycle mean with
-Python work in its finite cells, and its n² dense form is built only if
-a dense kernel, ``==`` or ``hash`` reads it.
+all its tokens, so its errors are reported as before. Either way its
+finite cells are kept in C-level passes. So an ε-heavy matrix reaches
+its graph (``network_from_matrix``), its circuits and its cycle mean
+with Python work in its finite cells alone.
 """
 
 from __future__ import annotations
@@ -72,9 +67,9 @@ _Component = dict[int, tuple[tuple[int, int], ...]]
 
 
 class MinPlusMatrix:
-    """An n-by-n matrix of min-plus values, held as (ints, D)."""
+    """An n-by-n matrix of min-plus values, held as (cells, D)."""
 
-    __slots__ = ("_int_rows", "_d", "_rows", "_cell_rows", "_class_list")
+    __slots__ = ("_cells", "_d", "_rows", "_class_list")
 
     def __init__(self, rows):
         values = tuple(tuple(_ratio(_rational(x)) for x in row) for row in rows)
@@ -85,58 +80,24 @@ class MinPlusMatrix:
             if len(row) != n:
                 raise ValueError(f"matrix must be square, got a row of length {len(row)} in an order-{n} matrix")
         d = _common_denominator(chain.from_iterable(values))
-        self._int_rows = tuple(tuple(_scaled(pair, d) for pair in row) for row in values)
+        self._cells = tuple(tuple((j, _scaled(pair, d)) for j, pair in enumerate(row) if pair is not None) for row in values)
         self._d = d
-        self._rows = self._cell_rows = self._class_list = None
+        self._rows = self._class_list = None
 
     @classmethod
-    def _from_scaled(cls, ints, d: int, cells=None) -> "MinPlusMatrix":
-        """The matrix ints / d from a square tuple of int-or-None tuples,
-        with nothing coerced; cells, when given, is its ``_cells`` view,
-        and ints may then be None, to be built from it on first use.
-        d and the entries are divided by their common factor, taken over
-        the finite cells, so D is canonical."""
+    def _from_scaled(cls, cells, d: int) -> "MinPlusMatrix":
+        """The matrix held as its finite cells over d, with nothing
+        coerced: cells is per row a tuple of its (column, weight times d)
+        int pairs in column order. d and the weights are divided by their
+        common factor, so D is canonical."""
         if d > 1:
-            if cells is None:
-                g = gcd(d, *filter(None, chain.from_iterable(ints)))
-            else:
-                g = gcd(d, *map(itemgetter(1), chain.from_iterable(cells)))
+            g = gcd(d, *map(itemgetter(1), chain.from_iterable(cells)))
             if g > 1:
-                if ints is not None:
-                    ints = tuple(tuple(None if w is None else w // g for w in row) for row in ints)
-                if cells is not None:
-                    cells = tuple(tuple((j, w // g) for j, w in row) for row in cells)
+                cells = tuple(tuple((j, w // g) for j, w in row) for row in cells)
                 d //= g
         matrix = object.__new__(cls)
-        matrix._int_rows, matrix._d, matrix._rows, matrix._cell_rows = ints, d, None, cells
-        matrix._class_list = None
+        matrix._cells, matrix._d, matrix._rows, matrix._class_list = cells, d, None, None
         return matrix
-
-    @property
-    def _ints(self) -> tuple[tuple[int | None, ...], ...]:
-        """Per row, every entry times D as an int, None for ε; built from
-        the finite cells on first use unless given at construction."""
-        if self._int_rows is None:
-            n = len(self._cell_rows)
-            ints = []
-            for cells in self._cell_rows:
-                row = [None] * n
-                for j, w in cells:
-                    row[j] = w
-                ints.append(tuple(row))
-            self._int_rows = tuple(ints)
-        return self._int_rows
-
-    @property
-    def _cells(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per row, the (column, weight times D) pairs of its finite
-        entries, in column order; built from the ints on first use unless
-        given at construction."""
-        if self._cell_rows is None:
-            self._cell_rows = tuple(
-                tuple((j, w) for j, w in enumerate(row) if w is not None) for row in self._int_rows
-            )
-        return self._cell_rows
 
     @property
     def _classes(self) -> list[_Component]:
@@ -151,54 +112,75 @@ class MinPlusMatrix:
 
     @property
     def n(self) -> int:
-        return len(self._cell_rows if self._int_rows is None else self._int_rows)
+        return len(self._cells)
 
     @property
     def rows(self) -> tuple[tuple[MinPlusValue, ...], ...]:
         if self._rows is None:
             d = self._d
-            self._rows = tuple(tuple(_unscaled(w, d) for w in row) for row in self._ints)
+            self._rows = tuple(tuple(_unscaled(w, d) for w in row) for row in _dense(self._cells))
         return self._rows
 
     def __getitem__(self, index) -> MinPlusValue:
         i, j = index
-        return _unscaled(self._ints[i][j], self._d)
+        # indexed as a tuple is: j < 0 counts from the end, and j outside -n..n-1 raises IndexError
+        return _unscaled(dict(self._cells[i]).get(range(self.n)[j]), self._d)
 
     def __eq__(self, other):
         if not isinstance(other, MinPlusMatrix):
             return NotImplemented
-        return self._d == other._d and self._ints == other._ints
+        return self._d == other._d and self._cells == other._cells
 
     def __hash__(self):
-        return hash((self._d, self._ints))
+        return hash((self._d, self._cells))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"MinPlusMatrix({self.n}x{self.n}: {body})"
 
     def principal_submatrix(self, indices) -> "MinPlusMatrix":
-        """Restriction to the given (0-based) rows and columns."""
-        idx = tuple(indices)
-        if not idx:
+        """Restriction to the given (0-based) rows and columns: distinct
+        ints in 0..n-1, in any order."""
+        pos: dict[int, int] = {}  # each index's place in the submatrix
+        for i in indices:
+            if not _is_int(i) or not 0 <= i < self.n or i in pos:
+                raise ValueError(f"bad principal submatrix index {i!r}: need distinct ints in 0..{self.n - 1}")
+            pos[i] = len(pos)
+        if not pos:
             raise ValueError("matrix order must be at least 1")
-        return MinPlusMatrix._from_scaled(tuple(tuple(self._ints[i][j] for j in idx) for i in idx), self._d)
+        cells = self._cells
+        return MinPlusMatrix._from_scaled(
+            tuple(tuple(sorted((pos[j], w) for j, w in cells[i] if j in pos)) for i in pos), self._d
+        )
 
     def to_json(self) -> dict:
         return {"n": self.n, "rows": [[x.to_json() for x in row] for row in self.rows]}
+
+
+def _dense(cells) -> list[list[int | None]]:
+    """The dense rows of finite cells: per row, every entry as its int,
+    None for ε."""
+    rows = []
+    for row_cells in cells:
+        row: list[int | None] = [None] * len(cells)
+        for j, w in row_cells:
+            row[j] = w
+        rows.append(row)
+    return rows
 
 
 def identity(n: int) -> MinPlusMatrix:
     """The ⊗-identity: 0 on the diagonal, ε elsewhere."""
     if n < 1:
         raise ValueError("matrix order must be at least 1")
-    return MinPlusMatrix._from_scaled(tuple(tuple(0 if i == j else None for j in range(n)) for i in range(n)), 1)
+    return MinPlusMatrix._from_scaled(tuple(((i, 0),) for i in range(n)), 1)
 
 
 def epsilon_matrix(n: int) -> MinPlusMatrix:
     """The ⊕-identity: every entry ε."""
     if n < 1:
         raise ValueError("matrix order must be at least 1")
-    return MinPlusMatrix._from_scaled(tuple((None,) * n for _ in range(n)), 1)
+    return MinPlusMatrix._from_scaled(((),) * n, 1)
 
 
 def _check_same_order(a: MinPlusMatrix, b: MinPlusMatrix):
@@ -207,33 +189,35 @@ def _check_same_order(a: MinPlusMatrix, b: MinPlusMatrix):
 
 
 def _rescaled(a: MinPlusMatrix, d: int):
-    """a's int entries in units of 1/d, for a multiple d of a's D."""
+    """a's finite cells in units of 1/d, for a multiple d of a's D."""
     f = d // a._d
     if f == 1:
-        return a._ints
-    return tuple(tuple(None if w is None else w * f for w in row) for row in a._ints)
+        return a._cells
+    return tuple(tuple((j, w * f) for j, w in row) for row in a._cells)
 
 
 def mat_oplus(a: MinPlusMatrix, b: MinPlusMatrix) -> MinPlusMatrix:
     """Entrywise minimum."""
     _check_same_order(a, b)
     d = lcm(a._d, b._d)
-    return MinPlusMatrix._from_scaled(
-        tuple(
-            tuple(y if x is None else x if y is None or x <= y else y for x, y in zip(ra, rb))
-            for ra, rb in zip(_rescaled(a, d), _rescaled(b, d))
-        ),
-        d,
-    )
+    cells = []
+    for ra, rb in zip(_rescaled(a, d), _rescaled(b, d)):
+        row = dict(ra)
+        for j, w in rb:
+            if j not in row or w < row[j]:
+                row[j] = w
+        cells.append(tuple(sorted(row.items())))
+    return MinPlusMatrix._from_scaled(tuple(cells), d)
 
 
 def mat_otimes(a: MinPlusMatrix, b: MinPlusMatrix) -> MinPlusMatrix:
     """Min-plus matrix product: [ab]_ij = min_l (a_il + b_lj)."""
     _check_same_order(a, b)
     d = lcm(a._d, b._d)
-    f = d // b._d
-    succ = b._cells if f == 1 else [[(j, w * f) for j, w in row] for row in b._cells]
-    return MinPlusMatrix._from_scaled(tuple(map(tuple, _int_product(_rescaled(a, d), succ))), d)
+    product = _int_product(_dense(_rescaled(a, d)), _rescaled(b, d))
+    return MinPlusMatrix._from_scaled(
+        tuple(tuple((j, w) for j, w in enumerate(row) if w is not None) for row in product), d
+    )
 
 
 def _int_product(rows, succ) -> list[list[int | None]]:
@@ -326,9 +310,7 @@ def scalar_otimes(alpha, a: MinPlusMatrix) -> MinPlusMatrix:
         return epsilon_matrix(a.n)
     d = lcm(a._d, alpha[1])
     shift = _scaled(alpha, d)
-    return MinPlusMatrix._from_scaled(
-        tuple(tuple(None if w is None else w + shift for w in row) for row in _rescaled(a, d)), d
-    )
+    return MinPlusMatrix._from_scaled(tuple(tuple((j, w + shift) for j, w in row) for row in _rescaled(a, d)), d)
 
 
 def mat_power(a: MinPlusMatrix, k: int) -> MinPlusMatrix:
@@ -345,7 +327,7 @@ def mat_power(a: MinPlusMatrix, k: int) -> MinPlusMatrix:
 
 def trace(a: MinPlusMatrix) -> MinPlusValue:
     """⊕-sum of the diagonal, i.e. the minimum diagonal entry."""
-    diagonal = [a._ints[i][i] for i in range(a.n) if a._ints[i][i] is not None]
+    diagonal = [w for i, row in enumerate(a._cells) for j, w in row if j == i]
     return _unscaled(min(diagonal, default=None), a._d)
 
 
@@ -389,7 +371,8 @@ def _matrix_from_json(obj) -> MinPlusMatrix:
                 raise ParseError(f"bad matrix entry {cell!r}: {exc}", line=i, column=j) from exc
     d = _common_denominator(pairs.values())
     scaled = {cell: _scaled(pair, d) for cell, pair in pairs.items()}
-    return MinPlusMatrix._from_scaled(tuple(tuple(map(scaled.__getitem__, row)) for row in rows), d)
+    cells = tuple(tuple((j, w) for j, w in enumerate(map(scaled.__getitem__, row)) if w is not None) for row in rows)
+    return MinPlusMatrix._from_scaled(cells, d)
 
 
 def _parse_matrix_text(text: str) -> MinPlusMatrix:
@@ -431,7 +414,7 @@ def _parse_matrix_text(text: str) -> MinPlusMatrix:
     for i, (cols, kept) in enumerate(found):
         found[i] = None  # the row's tokens go as its cells come
         cells.append(tuple(zip(cols, map(scaled.__getitem__, kept))))
-    return MinPlusMatrix._from_scaled(None, d, tuple(cells))
+    return MinPlusMatrix._from_scaled(tuple(cells), d)
 
 
 def _decode_new(tokens, pairs: dict, blanks: list):

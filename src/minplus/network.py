@@ -212,9 +212,8 @@ class Report:
 
 def network_from_matrix(a: MinPlusMatrix) -> Network:
     """One edge (i, j, a_ij) per finite entry: the network holds the
-    matrix's finite cells themselves, and the dense ints are not scanned.
-    Its components are the matrix's strongly connected classes, found once
-    per matrix."""
+    matrix's finite cells themselves. Its components are the matrix's
+    strongly connected classes, found once per matrix."""
     cells, d = a._cells, a._d
     edges = tuple([(i, j + 1, Fraction(w, d)) for i, row in enumerate(cells, start=1) for j, w in row])
     return _unchecked(Network, m=len(cells), edges=edges, _cells=cells, _d=d, _components=a._classes)
@@ -233,7 +232,7 @@ def matrix_from_network(net: Network) -> MinPlusMatrix:
     """Weighted adjacency matrix; inverse of network_from_matrix."""
     if net.m == 0:
         raise ValueError("matrix order must be at least 1")
-    return MinPlusMatrix._from_scaled(None, net._d, net._cells)
+    return MinPlusMatrix._from_scaled(net._cells, net._d)
 
 
 def _circuits_through(start: int, succ: _Component):

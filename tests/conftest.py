@@ -27,6 +27,12 @@ def example7() -> MinPlusMatrix:
     return parse_matrix(EXAMPLE_7X7_TEXT)
 
 
+def dense_ints(a: MinPlusMatrix) -> tuple[tuple[int | None, ...], ...]:
+    """a's entries times its D as ints, None for ε, read off ``a.rows``:
+    the dense rows that the test oracles work on."""
+    return tuple(tuple(None if x.is_epsilon else int(x.rational * a._d) for x in row) for row in a.rows)
+
+
 def random_entry(rng, allow_fractions=True):
     """A random finite value: usually an integer, sometimes a fraction."""
     if allow_fractions and rng.random() < 0.2:

@@ -39,7 +39,7 @@ from minplus import (
 )
 from minplus import charpoly as charpoly_module
 
-from conftest import random_matrix
+from conftest import dense_ints, random_matrix
 
 # Denominators 1..13 make the scaling factor D (their LCM) as large as 360360.
 ENTRIES = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 13))
@@ -115,7 +115,7 @@ def blanked_matrices(draw, max_n):
 
 def charpoly_tropdet_from_scratch(a):
     """c_j from one from-scratch assignment solve per j-by-j principal minor."""
-    rows = a._ints
+    rows = dense_ints(a)
     coeffs = [E]
     for j in range(1, a.n + 1):
         best = EPSILON
@@ -139,7 +139,7 @@ def hull_from_scratch(a):
     solves the assignment problem on q·A with min(q·a_ii, p) on the diagonal.
     """
     n = a.n
-    rows = a._ints
+    rows = dense_ints(a)
 
     def probe(p, q):
         scaled = [[None if w is None else q * w for w in row] for row in rows]

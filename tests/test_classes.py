@@ -28,6 +28,7 @@ from minplus import (
     network_from_matrix,
     plant_separated_instance,
 )
+from conftest import dense_ints
 from minplus import charpoly as charpoly_module
 from minplus import network
 from minplus.matrix import _single_circuit
@@ -39,7 +40,7 @@ def whole_matrix_scan(a):
     """charpoly_tropdet over all 2^n subsets of the whole matrix: each
     child minor's assignment extends its parent's by one augmentation,
     with ε at the finite cost 2B+1."""
-    n, ints = a.n, a._ints
+    n, ints = a.n, dense_ints(a)
     bound = sum(max((abs(w) for w in row if w is not None), default=0) for row in ints)
     rows = [[2 * bound + 1 if w is None else w for w in row] for row in ints]
     coeffs = [0] + [None] * n
@@ -209,7 +210,7 @@ def test_a_long_cycle_needs_no_scan():
     cells = [None] * n
     for k in range(n):
         cells[order[k]] = ((order[(k + 1) % n], k % 7 - 2),)
-    a = MinPlusMatrix._from_scaled(None, 1, tuple(cells))
+    a = MinPlusMatrix._from_scaled(tuple(cells), 1)
     total = sum(k % 7 - 2 for k in range(n))
     assert charpoly_tropdet(a, cap=1) == MinPlusPolynomial([0] + [None] * (n - 1) + [total])
     assert factorize(canonical_charpoly_tropdet(a)).factors == ((Fraction(total, n), n),)

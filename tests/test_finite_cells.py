@@ -1,13 +1,14 @@
-"""The finite-cell view of a matrix, and the network built from it.
+"""The finite cells of a matrix, and the network built from it.
 
-``MinPlusMatrix._cells`` holds, per row, the (column, weight times D)
-pairs of the finite entries in column order. The text parser finds them
-as it reads each row and hands them to the matrix; every other
-constructor leaves the view to be built from the ints on first use. These
-tests check that every way of building a matrix gives the view that the
-plain comprehension over its ints gives, and that ``network_from_matrix``,
-which holds that view itself, builds the network that ``Network(m, edges)``
-builds by coercing, scaling and sorting its edges.
+``MinPlusMatrix._cells``, the one int form a matrix holds, is per row the
+(column, weight times D) pairs of the finite entries in column order. The
+parsers find them as they read each row, and every other constructor and
+kernel builds them directly. These tests check that every way of building
+a matrix gives the cells that the plain comprehension over its entries
+gives, that its entries, rows and trace read off the cells are those of
+the same matrix worked out on Fractions, and that ``network_from_matrix``,
+which holds the cells themselves, builds the network that
+``Network(m, edges)`` builds by coercing, scaling and sorting its edges.
 """
 
 import json
@@ -22,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from minplus import (
     MinPlusMatrix,
+    MinPlusValue,
     Network,
     ParseError,
     epsilon_matrix,
@@ -34,7 +36,10 @@ from minplus import (
     parse_matrix,
     parse_value,
     scalar_otimes,
+    trace,
 )
+
+from conftest import dense_ints
 
 VALUES = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 13)) | st.just(Fraction(0))
 EPSILON_SPELLINGS = ["inf", "eps", "INF", "ε", "+inf", "infinity", "epsilon"]
@@ -46,7 +51,12 @@ BAD_TOKENS = ["3inf", "infinf", "\0", "inf\0", "x", "1/0"]
 
 
 def comprehension(a: MinPlusMatrix):
-    return tuple(tuple((j, w) for j, w in enumerate(row) if w is not None) for row in a._ints)
+    return tuple(tuple((j, w) for j, w in enumerate(row) if w is not None) for row in dense_ints(a))
+
+
+def product(x, y):
+    """The min-plus product of two square lists of Fractions and None."""
+    return [[min((p + q for p, q in zip(row, col) if p is not None and q is not None), default=None) for col in zip(*y)] for row in x]
 
 
 def canonical_d(rows) -> int:
@@ -164,7 +174,7 @@ def outcome(read, text):
         a = read(text)
     except ParseError as exc:
         return str(exc), exc.line, exc.column
-    return a._ints, a._cells, a._d
+    return dense_ints(a), a._cells, a._d
 
 
 def json_text(draw, rows) -> str:
@@ -184,9 +194,10 @@ def json_text(draw, rows) -> str:
 def test_parsed_text_hands_over_the_cell_view(forms):
     rows, text = forms
     a = parse_matrix(text)
-    assert a._cell_rows is not None  # given by the parser, not built from the ints
     assert a._cells == comprehension(a)
-    assert a == MinPlusMatrix(rows)
+    held = MinPlusMatrix(rows)
+    assert (a._cells, a._d) == (held._cells, held._d)
+    assert a == held and hash(a) == hash(held)
     assert a._d == canonical_d(rows)
 
 
@@ -233,33 +244,39 @@ def test_crafted_rows_read_as_line_split_reads_them(text):
 @given(rows_of_every_kind(), rows_of_every_kind(), VALUES, st.data())
 def test_every_constructor_gives_the_comprehension_view(rows, other, shift, data):
     a = MinPlusMatrix(rows)
-    from_json = parse_matrix(json_text(data.draw, rows))
-    for built in (a, from_json):
-        assert built._cell_rows is None  # built on first use
-        assert built._cells == comprehension(built)
-        assert built._cells is built._cells
     n = len(rows)
     b_rows = [[other[i % len(other)][j % len(other)] for j in range(n)] for i in range(n)]
     b = MinPlusMatrix(b_rows)
-    kernel_built = [
-        mat_otimes(a, b),  # b's cells rescaled to the product's D
-        mat_otimes(b, a),
-        mat_oplus(a, b),
-        mat_power(a, 3),
-        scalar_otimes(shift, a),
-        a.principal_submatrix(range(0, n, 2)),
-        identity(n),
-        epsilon_matrix(n),
-        matrix_from_network(network_from_matrix(a)),
+    # in a text of order over 32, its ε-heavy rows are read by str methods
+    text = "".join(" ".join("inf" if q is None else str(q) for q in row) + "\n" for row in rows)
+    kept = range(0, n, 2)
+    # each matrix, with its entries worked out on Fractions
+    built = [
+        (a, rows),
+        (parse_matrix(json_text(data.draw, rows)), rows),
+        (parse_matrix(text), rows),
+        (mat_otimes(a, b), product(rows, b_rows)),  # b's cells rescaled to the product's D
+        (mat_otimes(b, a), product(b_rows, rows)),
+        (mat_oplus(a, b), [[y if x is None else x if y is None else min(x, y) for x, y in zip(r, s)] for r, s in zip(rows, b_rows)]),
+        (mat_power(a, 3), product(product(rows, rows), rows)),
+        (scalar_otimes(shift, a), [[None if x is None else x + shift for x in row] for row in rows]),
+        (a.principal_submatrix(kept), [[rows[i][j] for j in kept] for i in kept]),
+        (identity(n), [[0 if i == j else None for j in range(n)] for i in range(n)]),
+        (epsilon_matrix(n), [[None] * n for _ in range(n)]),
+        (matrix_from_network(network_from_matrix(a)), rows),
     ]
-    for built in kernel_built:
-        assert built._cells == comprehension(built)
-    # the product, which relaxes b's cells, against one on Fractions
-    product = [
-        [min((x + y for x, y in zip(row, col) if x is not None and y is not None), default=None) for col in zip(*b_rows)]
-        for row in rows
-    ]
-    assert mat_otimes(a, b) == MinPlusMatrix(product)
+    for matrix, entries in built:
+        m = len(entries)
+        assert matrix._cells == comprehension(matrix)
+        assert matrix == MinPlusMatrix(entries) and hash(matrix) == hash(MinPlusMatrix(entries))
+        values = [[MinPlusValue(q) for q in row] for row in entries]
+        assert matrix.rows == tuple(map(tuple, values))
+        # every index in -m..m-1, and none outside it
+        assert [[matrix[i, j] for j in range(-m, m)] for i in range(-m, m)] == [row + row for row in values + values]
+        for index in ((m, 0), (0, m), (-m - 1, 0), (0, -m - 1)):
+            with pytest.raises(IndexError):
+                matrix[index]
+        assert trace(matrix) == MinPlusValue(min((row[i] for i, row in enumerate(entries) if row[i] is not None), default=None))
 
 
 @settings(max_examples=100, deadline=None)

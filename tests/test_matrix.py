@@ -192,3 +192,25 @@ def test_matrix_must_be_square():
         MinPlusMatrix([[1, 2], [3]])
     with pytest.raises(ValueError):
         MinPlusMatrix([])
+
+
+def test_principal_submatrix_takes_distinct_indices_in_any_order():
+    a = parse_matrix("1 inf 2/3\n-4 5 inf\ninf 7 -1/2\n")
+    sub = a.principal_submatrix([2, 0])
+    assert sub == M([[Fraction(-1, 2), EPS], [Fraction(2, 3), 1]])
+    assert (sub._cells, sub._d) == ((((0, -3),), ((0, 4), (1, 6))), 6)
+    assert a.principal_submatrix(range(3)) == a
+    assert a.principal_submatrix([1]) == M([[5]]) and a.principal_submatrix([1])._d == 1
+
+
+@pytest.mark.parametrize(
+    "indices, named",
+    [([-1], "-1"), ([0, 0], "0"), ([2, 1, 2], "2"), ([True], "True"), ([1.0], "1.0"), (["0"], "'0'"), ([3], "3")],
+    ids=["negative", "repeated", "repeated-later", "bool", "float", "str", "past-the-end"],
+)
+def test_principal_submatrix_refuses_a_bad_index(indices, named):
+    a = parse_matrix("1 inf 2/3\n-4 5 inf\ninf 7 -1/2\n")
+    with pytest.raises(ValueError, match=f"^bad principal submatrix index {named}: need distinct ints in 0..2$"):
+        a.principal_submatrix(indices)
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        a.principal_submatrix([])

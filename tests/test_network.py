@@ -39,7 +39,7 @@ from minplus import (
     verify_corollary_equivalence,
     verify_separated_factorization,
 )
-from conftest import random_matrix
+from conftest import dense_ints, random_matrix
 
 EPS = None
 
@@ -146,10 +146,9 @@ def test_network_holds_the_scaled_form_of_its_matrix():
         net = network_from_matrix(a)
         # the network holds the matrix's own finite cells and D, and hands them back
         assert net._cells is a._cells and net._d == a._d
-        assert net._cells == tuple(tuple((j, w) for j, w in enumerate(row) if w is not None) for row in a._ints)
+        assert net._cells == tuple(tuple((j, w) for j, w in enumerate(row) if w is not None) for row in dense_ints(a))
         back = matrix_from_network(net)
-        assert (back._ints, back._d) == (a._ints, a._d)
-        assert back._cell_rows is net._cells
+        assert back._cells is net._cells and back._d == a._d
         # the same edges in any order give the same cells
         shuffled = list(net.edges)
         random.Random(k).shuffle(shuffled)
@@ -167,7 +166,8 @@ def test_network_equality_hash_and_repr_see_only_m_and_edges():
     assert (net._cells, net._d) == ((((1, 1),), ((0, 6),)), 2)
     assert net.successors() == {1: [(2, Fraction(1, 2))], 2: [(1, Fraction(3))]}
     back = matrix_from_network(net)
-    assert (back._ints, back._d) == (((None, 1), (6, None)), 2)
+    assert (back._cells, back._d) == (net._cells, 2)
+    assert dense_ints(back) == ((None, 1), (6, None))
     unordered = Network(m=3, edges=((3, 1, 2), (1, 3, Fraction(1, 3)), (1, 2, 5), (3, 3, 0)))
     assert (unordered._cells, unordered._d) == ((((1, 15), (2, 1)), (), ((0, 6), (2, 0))), 3)
     # vertices 1 and 3 form the one component that holds a circuit; the edge 1 -> 2 leaves it
@@ -438,9 +438,9 @@ def test_graph_commands_read_only_the_int_adjacency(monkeypatch, tmp_path, capsy
 
 
 def test_network_from_a_parsed_text_matrix_reads_only_its_finite_cells():
-    # the text parser hands over the finite cells alone, so a long ε-heavy
-    # cycle is parsed, made a network, searched and given its cycle mean
-    # without its dense int form ever being built
+    # a matrix holds its finite cells alone, so a long ε-heavy cycle is
+    # parsed, made a network, searched and given its cycle mean with no
+    # dense int form built
     n = 300
     order = list(range(1, n + 1))
     random.Random(20261019).shuffle(order)
@@ -450,7 +450,7 @@ def test_network_from_a_parsed_text_matrix_reads_only_its_finite_cells():
     rows = [[cells.get((t, h)) for h in range(1, n + 1)] for t in range(1, n + 1)]
     text = "\n\n".join(" ".join("inf" if w is None else str(w) for w in row) for row in rows) + "\n"
     parsed, from_json = parse_matrix(text), parse_matrix(json.dumps(MinPlusMatrix(rows).to_json()))
-    assert parsed._int_rows is None and from_json._int_rows is not None
+    assert (from_json._cells, from_json._d) == (parsed._cells, parsed._d)
     net = network_from_matrix(parsed)
     coerced = Network(m=n, edges=tuple(sorted(edges)))
     assert (net, hash(net), repr(net)) == (coerced, hash(coerced), repr(coerced))
@@ -462,29 +462,29 @@ def test_network_from_a_parsed_text_matrix_reads_only_its_finite_cells():
     [circuit] = enumerate_circuits(net)
     assert (circuit.length, circuit.weight) == (n, sum(weights))
     assert min_cycle_mean(net) == MinPlusValue(Fraction(sum(weights), n))
-    assert parsed._int_rows is None
     assert network_from_matrix(from_json) == net
 
 
-def test_dense_ints_built_on_demand_match_the_held_form():
-    # a parsed text matrix, some of its rows all ε, is handed over as cells
-    # alone; everything that reads its dense form builds it once, equal to
-    # the form a constructor holds
+def test_every_constructor_holds_the_same_cells():
+    # a matrix holds one int form, its finite cells and D, whichever way it
+    # is built; no slot or attribute holds a dense form
     text = "0 inf 2 inf inf\ninf inf inf inf inf\ninf 1/2 inf -3 inf\neps eps eps eps eps\n7 inf inf inf 5/4\n"
-    parsed = parse_matrix(text)
-    assert parsed._int_rows is None
-    assert parsed.n == 5
+    json_text = '{"rows": [[0, null, 2, "inf", "eps"], [null, null, null, null, null], ["inf", "2/4", null, -3, "eps"],'
+    json_text += ' ["eps", "eps", "eps", "eps", "eps"], [7, null, "inf", null, "5/4"]]}'
     rows = [[0, None, 2, None, None], [None] * 5, [None, Fraction(1, 2), None, -3, None], [None] * 5]
     rows.append([7, None, None, None, Fraction(5, 4)])
     held = MinPlusMatrix(rows)
-    assert parsed == held and hash(parsed) == hash(held)
-    assert (parsed._ints, parsed._d) == (held._ints, held._d) == (held._int_rows, 4)
-    assert parsed._ints is parsed._int_rows
-    assert parsed.rows == held.rows
-    assert parsed.principal_submatrix([0, 2, 4]) == held.principal_submatrix([0, 2, 4])
-    assert charpoly_tropdet(parsed) == charpoly_tropdet(held)
-    back = matrix_from_network(network_from_matrix(held))  # handed the network's cells alone
-    assert back._int_rows is None and back == held
+    assert MinPlusMatrix.__slots__ == ("_cells", "_d", "_rows", "_class_list")
+    assert not any(hasattr(held, name) for name in ("_ints", "_int_rows", "_cell_rows", "__dict__"))
+    cells = (((0, 0), (2, 8)), (), ((1, 2), (3, -12)), (), ((0, 28), (4, 5)))
+    assert (held._cells, held._d) == (cells, 4)
+    for built in (parse_matrix(text), parse_matrix(json_text), matrix_from_network(network_from_matrix(held))):
+        assert (built._cells, built._d) == (cells, 4)
+        assert built == held and hash(built) == hash(held)
+        assert network_from_matrix(built)._cells is built._cells
+        assert built.rows == held.rows
+        assert built.principal_submatrix([0, 2, 4]) == held.principal_submatrix([0, 2, 4])
+        assert charpoly_tropdet(built) == charpoly_tropdet(held)
 
 
 def _residue(component):
@@ -507,7 +507,7 @@ def test_separated_check_and_min_cycle_mean_share_one_component_pass(monkeypatch
 
     def fresh(a):
         # the same matrix, with no classes found yet
-        return MinPlusMatrix._from_scaled(a._ints, a._d)
+        return MinPlusMatrix._from_scaled(a._cells, a._d)
 
     def all_answers(a):
         net = network_from_matrix(a)
