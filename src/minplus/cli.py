@@ -13,6 +13,7 @@ cap exceeded, 4 verification or cross-method agreement failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -56,8 +57,12 @@ EXIT_CAP = 3
 EXIT_VERIFY = 4
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command, each with exactly the options it reads."""
+    """One subparser per command, each with exactly the options it reads.
+
+    Built on the first call and shared after it: `main` may run many times
+    in one process, and parsing keeps no state on the parser."""
     parser = argparse.ArgumentParser(
         prog="minplus",
         description="exact min-plus characteristic polynomials, factorization, and circuit reports",
@@ -106,9 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
 
 

@@ -171,16 +171,21 @@ def _dense(cells) -> list[list[int | None]]:
 
 def identity(n: int) -> MinPlusMatrix:
     """The ⊗-identity: 0 on the diagonal, ε elsewhere."""
-    if n < 1:
-        raise ValueError("matrix order must be at least 1")
+    _check_order(n)
     return MinPlusMatrix._from_scaled(tuple(((i, 0),) for i in range(n)), 1)
 
 
 def epsilon_matrix(n: int) -> MinPlusMatrix:
     """The ⊕-identity: every entry ε."""
+    _check_order(n)
+    return MinPlusMatrix._from_scaled(((),) * n, 1)
+
+
+def _check_order(n) -> None:
+    if not _is_int(n):
+        raise TypeError(f"matrix order must be an int, not {n!r}")
     if n < 1:
         raise ValueError("matrix order must be at least 1")
-    return MinPlusMatrix._from_scaled(((),) * n, 1)
 
 
 def _check_same_order(a: MinPlusMatrix, b: MinPlusMatrix):

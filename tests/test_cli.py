@@ -471,6 +471,72 @@ def test_usage_error_exits_2(example_file):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("charpoly", "--cap-subsets"),
+        ("circuits", "--cap-circuits"),
+        ("verify", "--cap-perms"),
+        ("verify", "--size"),
+        ("verify", "--random-separated"),
+    ],
+)
+@pytest.mark.parametrize("value", ["x", "0"])
+def test_a_bad_positive_int_is_a_usage_error_that_names_it(command, flag, value, example_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, value, example_file])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: must be a positive integer, got '{value}'\n" in err
+    assert "_positive_int" not in err
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one `main` call, a usage error or --help included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(example_file, capsys):
+    sequence = [
+        ["charpoly", "--canonical", example_file],
+        ["charpoly", "--cap-subsets", "x", example_file],
+        ["charpoly", example_file],
+        ["verify", "--random-separated", "1", "--seed", "3"],
+        ["verify", "--help"],
+        ["verify", "--random-separated", "1"],
+        ["eigenvalue", "--method", "karp", example_file],
+        ["eigenvalue", "--method", "tropdet", "--format", "yaml", example_file],
+        ["eigenvalue", example_file],
+    ]
+    first = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        first.append(_outcome(capsys, argv))
+    assert [code for code, _, _ in first] == [0, 2, 0, 0, 0, 0, 0, 2, 0]
+    build_parser.cache_clear()
+    assert [_outcome(capsys, argv) for argv in sequence] == first
+
+
+def test_main_builds_its_parser_once(example_file, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "__init__", lambda self, *a, **kw: built.append(self) or init(self, *a, **kw)
+    )
+    build_parser.cache_clear()
+    assert main(["roots", example_file]) == 0
+    assert len(built) == 1 + len(OPTIONS)  # the root parser and one per command
+    for _ in range(20):
+        assert main(["roots", example_file]) == 0
+    assert len(built) == 1 + len(OPTIONS)
+    capsys.readouterr()
+
+
 def test_deeply_nested_json_is_a_parse_error(run, tmp_path):
     depth = 200_000
     matrix = tmp_path / "deep-matrix.json"

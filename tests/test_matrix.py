@@ -29,6 +29,16 @@ def M(rows):
     return MinPlusMatrix(rows)
 
 
+@pytest.mark.parametrize("build", [identity, epsilon_matrix])
+def test_identity_and_epsilon_matrix_take_an_int_order(build):
+    for order in (True, 2.0, "3"):
+        with pytest.raises(TypeError, match=f"matrix order must be an int, not {order!r}"):
+            build(order)
+    with pytest.raises(ValueError, match="at least 1"):
+        build(0)
+    assert build(2).n == 2
+
+
 def test_mat_oplus_entrywise_min():
     a = M([[1, EPS], [EPS, 2]])
     b = M([[0, EPS], [EPS, 5]])
