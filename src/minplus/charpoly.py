@@ -74,7 +74,7 @@ from math import lcm
 from .errors import CapExceeded
 from .matrix import MinPlusMatrix, _Component, _dense, _int_product, _single_circuit
 from .polynomial import MinPlusPolynomial, _hull_corners, _require_monic, canonicalize
-from .semiring import EPSILON, MinPlusValue, _unscaled
+from .semiring import EPSILON, MinPlusValue, _check_int, _unscaled
 
 __all__ = [
     "BRUTE_FORCE_CAP",
@@ -102,6 +102,7 @@ def tropdet_bruteforce(a: MinPlusMatrix, cap: int = BRUTE_FORCE_CAP) -> MinPlusV
     the partial permutations through finite cells (n! only on dense
     input), while every finite permutation is still enumerated.
     """
+    _check_int(cap, "cap")
     n = a.n
     if n > cap:
         raise CapExceeded(
@@ -268,6 +269,7 @@ def charpoly_tropdet(a: MinPlusMatrix, cap: int = SUBSET_CAP) -> MinPlusPolynomi
     (``_subset_scan`` on ``_class_rows``). The cap bounds the order of the
     largest class scanned, and is checked before any scan starts.
     """
+    _check_int(cap, "cap")
     scanned = [len(succ) for succ in a._classes if _single_circuit(succ) is None]
     if scanned and max(scanned) > cap:
         raise CapExceeded(

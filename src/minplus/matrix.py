@@ -39,6 +39,7 @@ from operator import itemgetter
 from .errors import ParseError, decode_json
 from .semiring import (
     MinPlusValue,
+    _check_int,
     _common_denominator,
     _decode_cell,
     _decode_token,
@@ -182,8 +183,7 @@ def epsilon_matrix(n: int) -> MinPlusMatrix:
 
 
 def _check_order(n) -> None:
-    if not _is_int(n):
-        raise TypeError(f"matrix order must be an int, not {n!r}")
+    _check_int(n, "matrix order")
     if n < 1:
         raise ValueError("matrix order must be at least 1")
 

@@ -9,17 +9,17 @@ graph data. `verify_matrix` runs every check on one matrix from one
 computation of each polynomial, one component pass and one subset dynamic
 program per component; it lists no circuits.
 
-A network holds its graph in one form, its matrix's finite cells
-(``_cells``): per vertex, its (head, weight times D) pairs in head order,
-vertices counted from 0, with D the least common multiple of the weights'
-reduced denominators. A network built from a matrix shares the matrix's
-cells and D. One component pass over the cells gives each strongly
-connected component that holds a circuit as its vertices' internal pairs
-(``_components``), and every graph kernel here reads that: Johnson's
-circuit search, Karp's minimum cycle mean, the family minima and the
-separation checks. A network built from a matrix takes the matrix's own
-classes (``MinPlusMatrix._classes``), so the tropdet kernels and the graph
-kernels make one pass per matrix between them.
+A network holds its matrix (``_matrix``), the one owner of the graph: the
+matrix's finite cells (per vertex, its (head, weight times D) pairs in
+head order, vertices counted from 0, with D the least common multiple of
+the weights' reduced denominators) and its strongly connected classes
+that hold a circuit (``MinPlusMatrix._classes``, one Tarjan pass per
+matrix). A network built from a matrix holds that matrix itself; one
+built from edges builds its matrix once. Every graph kernel here reads
+the classes: Johnson's circuit search, Karp's minimum cycle mean, the
+family minima and the separation checks. The ``verify`` checks take the
+matrix and build no network, so the tropdet kernels and the graph
+kernels make one class pass per matrix between them.
 Fractions appear only in ``edges``, in each ``Circuit`` and in results.
 
 Vertices are labeled 1..m in ``edges``, circuits and every result,
@@ -31,13 +31,12 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .charpoly import _class_product, charpoly_flv, charpoly_tropdet, tropdet_assignment, tropdet_bruteforce
 from .errors import CapExceeded
 from .matrix import MinPlusMatrix, _Component, _single_circuit, _strongly_connected_components
-from .polynomial import Factorization, MinPlusPolynomial, canonicalize, factorize, is_equivalent
-from .semiring import EPSILON, MinPlusValue, _common_denominator, _is_int, _ratio, _rational, _scaled
+from .polynomial import Factorization, MinPlusPolynomial, canonicalize, factorize
+from .semiring import EPSILON, MinPlusValue, _check_int, _common_denominator, _is_int, _ratio, _rational, _scaled
 
 __all__ = [
     "Network",
@@ -78,12 +77,10 @@ class Network:
 
     m: int
     edges: tuple[tuple[int, int, Fraction], ...]
-    _cells: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
-    _d: int = field(init=False, repr=False, compare=False)
+    _matrix: MinPlusMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not _is_int(self.m):
-            raise TypeError(f"vertex count must be an int, not {self.m!r}")
+        _check_int(self.m, "vertex count")
         if self.m < 0:
             raise ValueError("vertex count must be nonnegative")
         seen = set()
@@ -102,20 +99,11 @@ class Network:
         for tail, head, weight in normalized:
             cells[tail - 1].append((head - 1, _scaled(_ratio(weight), d)))
         object.__setattr__(self, "edges", tuple(normalized))
-        object.__setattr__(self, "_cells", tuple(tuple(sorted(row)) for row in cells))
-        object.__setattr__(self, "_d", d)
-
-    @cached_property
-    def _components(self) -> list[_Component]:
-        """Each strongly connected component that holds a circuit, as its
-        vertices' internal (head, weight times D) pairs: one component pass
-        per network, which the circuit search, Karp, the family minima and
-        the separation checks share. ``network_from_matrix`` sets it to the
-        matrix's own classes."""
-        return _strongly_connected_components(self._cells)
+        object.__setattr__(self, "_matrix", MinPlusMatrix._from_scaled(tuple(tuple(sorted(row)) for row in cells), d))
 
     def successors(self) -> dict[int, list[tuple[int, Fraction]]]:
-        return {v: [(h + 1, Fraction(w, self._d)) for h, w in row] for v, row in enumerate(self._cells, start=1)}
+        d = self._matrix._d
+        return {v: [(h + 1, Fraction(w, d)) for h, w in row] for v, row in enumerate(self._matrix._cells, start=1)}
 
 
 @dataclass(frozen=True)
@@ -212,11 +200,11 @@ class Report:
 
 def network_from_matrix(a: MinPlusMatrix) -> Network:
     """One edge (i, j, a_ij) per finite entry: the network holds the
-    matrix's finite cells themselves. Its components are the matrix's
-    strongly connected classes, found once per matrix."""
-    cells, d = a._cells, a._d
-    edges = tuple([(i, j + 1, Fraction(w, d)) for i, row in enumerate(cells, start=1) for j, w in row])
-    return _unchecked(Network, m=len(cells), edges=edges, _cells=cells, _d=d, _components=a._classes)
+    matrix itself, so its components are the matrix's strongly connected
+    classes, found once per matrix."""
+    d = a._d
+    edges = tuple([(i, j + 1, Fraction(w, d)) for i, row in enumerate(a._cells, start=1) for j, w in row])
+    return _unchecked(Network, m=a.n, edges=edges, _matrix=a)
 
 
 def _unchecked(cls, **fields):
@@ -232,7 +220,7 @@ def matrix_from_network(net: Network) -> MinPlusMatrix:
     """Weighted adjacency matrix; inverse of network_from_matrix."""
     if net.m == 0:
         raise ValueError("matrix order must be at least 1")
-    return MinPlusMatrix._from_scaled(net._cells, net._d)
+    return net._matrix
 
 
 def _circuits_through(start: int, succ: _Component):
@@ -285,14 +273,16 @@ def enumerate_circuits(net: Network, cap: int = CIRCUIT_CAP) -> list[Circuit]:
     from its smallest vertex, so it comes out already in canonical
     rotation. Results are sorted by (length, vertex sequence).
     """
+    _check_int(cap, "cap")
+    d = net._matrix._d
     circuits: list[Circuit] = []
-    pending = list(net._components)
+    pending = list(net._matrix._classes)
     while pending:
         succ = pending.pop()
         start = min(succ)
         for cycle, total in _circuits_through(start, succ):
             vertices = tuple([v + 1 for v in cycle])  # canonical, distinct ints: nothing to check
-            circuits.append(_unchecked(Circuit, vertices=vertices, weight=Fraction(total, net._d)))
+            circuits.append(_unchecked(Circuit, vertices=vertices, weight=Fraction(total, d)))
             if len(circuits) > cap:
                 raise CapExceeded(f"circuit enumeration exceeded the cap of {cap}", partial_count=len(circuits))
         residue = {v: tuple([p for p in pairs if p[0] != start]) for v, pairs in succ.items() if v != start}
@@ -370,8 +360,8 @@ def min_cycle_mean(net: Network) -> MinPlusValue:
     Runs the exact-length-walk dynamic program independently on each
     strongly connected component, since every circuit lives inside one.
     """
-    means = [MinPlusValue(_karp_component(succ, net._d)) for succ in net._components]
-    return min(means, default=EPSILON)
+    a = net._matrix
+    return min((MinPlusValue(_karp_component(succ, a._d)) for succ in a._classes), default=EPSILON)
 
 
 def enumerate_extended_circuits(
@@ -381,8 +371,9 @@ def enumerate_extended_circuits(
     circuit_cap: int = CIRCUIT_CAP,
 ) -> list[ExtendedCircuit]:
     """All vertex-disjoint circuit families with total length exactly j."""
-    if not _is_int(j):
-        raise TypeError(f"total length must be an int, not {j!r}")
+    _check_int(j, "total length")
+    _check_int(exhaustive_cap, "exhaustive_cap")
+    _check_int(circuit_cap, "circuit_cap")
     if j < 1:
         raise ValueError("total length must be a positive integer")
     if net.m > exhaustive_cap:
@@ -410,7 +401,7 @@ def enumerate_extended_circuits(
     return families
 
 
-def _family_minima(net: Network) -> dict[int, Fraction]:
+def _family_minima(a: MinPlusMatrix) -> dict[int, Fraction]:
     """Least weight of a vertex-disjoint circuit family of total length j,
     for each j that has one; no circuit is listed.
 
@@ -420,8 +411,8 @@ def _family_minima(net: Network) -> dict[int, Fraction]:
     is one circuit has its length and weight alone, any other takes the
     subset program of ``_component_family_minima``.
     """
-    minima = _class_product(net._components, _component_family_minima)
-    return {j: Fraction(total, net._d) for j, total in minima.items() if j}
+    minima = _class_product(a._classes, _component_family_minima)
+    return {j: Fraction(total, a._d) for j, total in minima.items() if j}
 
 
 def _component_family_minima(component: _Component) -> dict[int, int]:
@@ -490,11 +481,11 @@ def coefficient_check(a: MinPlusMatrix) -> Report:
     component that reads the graph only (see `_family_minima`). The subset
     scan of `charpoly_tropdet` runs first, so its cap stops both
     exponential stages, which scan the same components."""
-    return _coefficient_report(charpoly_tropdet(a), _family_minima(network_from_matrix(a)))
+    return _coefficient_report(charpoly_tropdet(a), _family_minima(a))
 
 
-def _is_separated(components: list[_Component]) -> bool:
-    return all(_single_circuit(succ) is not None for succ in components)
+def _is_separated(a: MinPlusMatrix) -> bool:
+    return all(_single_circuit(succ) is not None for succ in a._classes)
 
 
 def separated_check(net: Network) -> bool:
@@ -505,28 +496,29 @@ def separated_check(net: Network) -> bool:
     separated iff each such component is one circuit, i.e. has as many
     internal edges as vertices (``_single_circuit``).
     """
-    return _is_separated(net._components)
+    return _is_separated(net._matrix)
 
 
-def _homogeneous_groups(components: list[_Component], d: int) -> list[tuple[Fraction, int]]:
-    """Group the circuits of a separated network by average weight:
-    (average, total length), ascending. Each component is one circuit,
-    made of exactly its internal edges (weights times d)."""
+def _homogeneous_groups(a: MinPlusMatrix) -> list[tuple[Fraction, int]]:
+    """Group the circuits of a separated matrix's graph by average weight:
+    (average, total length), ascending. Each class is one circuit, made of
+    exactly its internal edges (weights times D)."""
     totals: dict[Fraction, int] = defaultdict(int)
-    for succ in components:
-        totals[_karp_component(succ, d)] += len(succ)
+    for succ in a._classes:
+        totals[_karp_component(succ, a._d)] += len(succ)
     return sorted(totals.items())
 
 
-def _factorization_report(
-    n: int, groups: list[tuple[Fraction, int]] | None, poly: MinPlusPolynomial | None
-) -> Report:
-    if groups is None:
+def _factorization_report(a: MinPlusMatrix, poly: MinPlusPolynomial | None) -> Report:
+    """The factorization predicted from a's circuits against poly, a's
+    characteristic polynomial when its graph is separated, None when not."""
+    if poly is None:
         note = "hypothesis not met: circuits are not pairwise vertex-disjoint"
         return Report(check="separated_factorization", hypothesis_met=False, details=[{"note": note}])
+    groups = _homogeneous_groups(a)
     predicted = Factorization(
         factors=tuple((MinPlusValue(avg), length) for avg, length in groups),
-        xpower=n - sum(length for _, length in groups),
+        xpower=a.n - sum(length for _, length in groups),
     )
     actual = factorize(poly)
     details = [{"predicted": predicted.to_json(), "actual": actual.to_json()}]
@@ -538,21 +530,18 @@ def verify_separated_factorization(a: MinPlusMatrix) -> Report:
     factors exactly as predicted by the homogeneous circuit groups:
     (x ⊕ p_1)^(l_1) ⊗ ... ⊗ (x ⊕ p_k)^(l_k) ⊗ x^r with r the number of
     circuit-free vertices."""
-    net = network_from_matrix(a)
-    components = net._components
-    if not _is_separated(components):
-        return _factorization_report(a.n, None, None)
-    return _factorization_report(a.n, _homogeneous_groups(components, net._d), charpoly_tropdet(a))
+    return _factorization_report(a, charpoly_tropdet(a) if _is_separated(a) else None)
 
 
 def _equivalence_report(separated: bool, g: MinPlusPolynomial, g_hat: MinPlusPolynomial) -> Report:
-    equivalent = is_equivalent(g, g_hat)
+    canonical, canonical_hat = canonicalize(g), canonicalize(g_hat)
+    equivalent = canonical == canonical_hat
     details = [
         {
             "separated": separated,
             "equivalent": equivalent,
-            "tropdet_canonical": canonicalize(g).to_json(),
-            "trace_recursion_canonical": canonicalize(g_hat).to_json(),
+            "tropdet_canonical": canonical.to_json(),
+            "trace_recursion_canonical": canonical_hat.to_json(),
         }
     ]
     return Report(
@@ -569,7 +558,7 @@ def verify_corollary_equivalence(a: MinPlusMatrix) -> Report:
     When the network is separated the equivalence is asserted (the report
     fails if it does not hold); otherwise the outcome is recorded only.
     """
-    return _equivalence_report(separated_check(network_from_matrix(a)), charpoly_tropdet(a), charpoly_flv(a))
+    return _equivalence_report(_is_separated(a), charpoly_tropdet(a), charpoly_flv(a))
 
 
 def verify_matrix(a: MinPlusMatrix, cap_perms: int, cap_subsets: int) -> list[Report]:
@@ -579,6 +568,8 @@ def verify_matrix(a: MinPlusMatrix, cap_perms: int, cap_subsets: int) -> list[Re
     runs first, so a component above `cap_subsets` that is not one circuit
     is refused before the permutation brute force or the family-minima
     program starts: that program scans the same components."""
+    _check_int(cap_perms, "cap_perms")
+    _check_int(cap_subsets, "cap_subsets")
     g = charpoly_tropdet(a, cap=cap_subsets)
     if a.n <= cap_perms:
         brute, solver = tropdet_bruteforce(a, cap=cap_perms), tropdet_assignment(a)
@@ -587,14 +578,12 @@ def verify_matrix(a: MinPlusMatrix, cap_perms: int, cap_subsets: int) -> list[Re
     else:
         details = {"note": f"order {a.n} above the brute-force cap {cap_perms}"}
         oracle = Report(check="tropdet_oracle", hypothesis_met=False, details=[details])
-    net = network_from_matrix(a)
-    components = net._components
-    separated = _is_separated(components)
+    separated = _is_separated(a)
     return [
         oracle,
         Report(check="separated", hypothesis_met=None, details=[{"separated": separated}]),
-        _coefficient_report(g, _family_minima(net)),
-        _factorization_report(a.n, _homogeneous_groups(components, net._d) if separated else None, g),
+        _coefficient_report(g, _family_minima(a)),
+        _factorization_report(a, g if separated else None),
         _equivalence_report(separated, g, charpoly_flv(a)),
     ]
 
@@ -615,6 +604,8 @@ def plant_separated_instance(
     Returns the matrix and the planted cycles as (vertex tuple, edge
     weight tuple) pairs, for independent verification.
     """
+    _check_int(n, "n")
+    _check_int(max_cycles, "max_cycles")
     if n < 1:
         raise ValueError("need at least one vertex")
     labels = list(range(1, n + 1))

@@ -29,6 +29,7 @@ from .errors import ParseError, decode_json
 from .semiring import (
     E,
     MinPlusValue,
+    _check_int,
     _common_denominator,
     _decode_cell,
     _is_int,
@@ -132,8 +133,7 @@ class Factorization:
         roots = [root for root, _ in self.factors]
         if any(not a < b for a, b in zip(roots, roots[1:])):
             raise ValueError("roots must be strictly increasing")
-        if not _is_int(self.xpower):
-            raise TypeError(f"x-power must be an int, not {self.xpower!r}")
+        _check_int(self.xpower, "x-power")
         if self.xpower < 0:
             raise ValueError("x-power must be nonnegative")
 

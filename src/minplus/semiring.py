@@ -166,6 +166,12 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _check_int(x, name: str) -> None:
+    """Raise a TypeError that names the argument unless x is an int and not a bool."""
+    if not _is_int(x):
+        raise TypeError(f"{name} must be an int, not {x!r}")
+
+
 def _ratio(q: Fraction | None) -> tuple[int, int] | None:
     """q as a (numerator, denominator) pair, None for ε."""
     return None if q is None else (q.numerator, q.denominator)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,34 @@ def test_tropdet_simple_cases():
 def test_tropdet_bruteforce_cap():
     with pytest.raises(CapExceeded, match="tropdet_assignment"):
         tropdet_bruteforce(identity(5), cap=4)
+
+
+NOT_INTS = (True, False, 2.5, 9.0, "9", None, Fraction(9))
+
+
+def test_tropdet_bruteforce_cap_must_be_an_int():
+    a = MinPlusMatrix([[1, 2], [3, 4]])
+    for cap in NOT_INTS:
+        with pytest.raises(TypeError, match=f"^cap must be an int, not {re.escape(repr(cap))}$"):
+            tropdet_bruteforce(a, cap=cap)
+    # an int cap behaves as before: below the order it refuses it
+    assert tropdet_bruteforce(a, cap=2) == MinPlusValue(5)
+    with pytest.raises(CapExceeded, match="capped at order 1"):
+        tropdet_bruteforce(a, cap=1)
+
+
+def test_charpoly_tropdet_cap_must_be_an_int():
+    a = MinPlusMatrix([[1, 2], [3, 4]])
+    for cap in NOT_INTS:
+        # checked before the classes are read, so even where no class needs a scan
+        for b in (a, identity(3)):
+            with pytest.raises(TypeError, match=f"^cap must be an int, not {re.escape(repr(cap))}$"):
+                charpoly_tropdet(b, cap=cap)
+    # an int cap behaves as before: a class that is one circuit needs no scan whatever the cap
+    assert charpoly_tropdet(a, cap=2) == charpoly_tropdet(a)
+    with pytest.raises(CapExceeded, match="capped at order 1"):
+        charpoly_tropdet(a, cap=1)
+    assert charpoly_tropdet(identity(3), cap=-1) == charpoly_tropdet(identity(3))
 
 
 def test_tropdet_permutation_structured():

@@ -61,13 +61,13 @@ def whole_matrix_scan(a):
     return MinPlusPolynomial._from_scaled(tuple(coeffs), a._d)
 
 
-def whole_graph_family_minima(net):
+def whole_graph_family_minima(a):
     """The least family weight of each total length, by one subset program
-    over all m vertices of the graph (see ``_component_family_minima``)."""
-    succ = net._cells
-    paths = {1 << u: {u: 0} for u in range(net.m)}
+    over all n vertices of the matrix's graph (see ``_component_family_minima``)."""
+    succ = a._cells
+    paths = {1 << u: {u: 0} for u in range(a.n)}
     minima = {}
-    for s in range(1, 1 << net.m):
+    for s in range(1, 1 << a.n):
         ends = paths.pop(s, None)
         if ends is None:
             continue
@@ -89,7 +89,7 @@ def whole_graph_family_minima(net):
             target = paths.setdefault(s | 1 << u, {})
             if u not in target or closed < target[u]:
                 target[u] = closed
-    return {j: Fraction(total, net._d) for j, total in minima.items()}
+    return {j: Fraction(total, a._d) for j, total in minima.items()}
 
 
 @st.composite
@@ -175,8 +175,10 @@ def test_per_class_hull_matches_canonical_whole_matrix_scan(a):
 @settings(max_examples=150, deadline=None)
 @given(INPUTS)
 def test_per_class_family_minima_match_whole_graph(a):
-    net = network_from_matrix(a)
-    assert network._family_minima(net) == whole_graph_family_minima(net)
+    # the family minima read the matrix's own classes, the ones its network holds
+    assert network_from_matrix(a)._matrix is a
+    assert network._family_minima(a) == whole_graph_family_minima(a)
+    assert a._class_list is not None
 
 
 def test_every_class_mean_is_a_root_of_the_canonical_polynomial():
@@ -214,4 +216,5 @@ def test_a_long_cycle_needs_no_scan():
     total = sum(k % 7 - 2 for k in range(n))
     assert charpoly_tropdet(a, cap=1) == MinPlusPolynomial([0] + [None] * (n - 1) + [total])
     assert factorize(canonical_charpoly_tropdet(a)).factors == ((Fraction(total, n), n),)
-    assert network._family_minima(network_from_matrix(a)) == {n: total}
+    assert network._family_minima(a) == {n: total}
+    assert network_from_matrix(a)._matrix is a and len(a._classes) == 1

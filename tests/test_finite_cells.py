@@ -291,8 +291,8 @@ def test_network_from_matrix_is_the_coerced_network(forms, data):
         assert net == coerced
         assert hash(net) == hash(coerced)
         assert repr(net) == repr(coerced)
-        assert net._cells is a._cells
-        assert net._cells == coerced._cells
-        assert net._d == coerced._d
-        assert net._components == coerced._components
+        # the network holds the matrix itself, equal to the one its edges build
+        assert net._matrix is a and matrix_from_network(net) is a
+        assert net._matrix == coerced._matrix
+        assert net._matrix._classes == coerced._matrix._classes
         assert all(type(w) is Fraction for _, _, w in net.edges)

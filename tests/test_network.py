@@ -1,13 +1,16 @@
 import dataclasses
 import json
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
 from minplus import charpoly as charpoly_module
+from minplus import cli as cli_module
 from minplus import matrix as matrix_module
 from minplus import network
 from minplus.cli import main
@@ -42,6 +45,7 @@ from minplus import (
 from conftest import dense_ints, random_matrix
 
 EPS = None
+DATA = Path(__file__).resolve().parent / "data" / "cli"
 
 
 def diag(*values):
@@ -144,34 +148,41 @@ def test_network_holds_the_scaled_form_of_its_matrix():
                 ]
             )
         net = network_from_matrix(a)
-        # the network holds the matrix's own finite cells and D, and hands them back
-        assert net._cells is a._cells and net._d == a._d
-        assert net._cells == tuple(tuple((j, w) for j, w in enumerate(row) if w is not None) for row in dense_ints(a))
-        back = matrix_from_network(net)
-        assert back._cells is net._cells and back._d == a._d
-        # the same edges in any order give the same cells
+        # the network holds the matrix itself, and hands it back
+        assert net._matrix is a and matrix_from_network(net) is a
+        assert a._cells == tuple(tuple((j, w) for j, w in enumerate(row) if w is not None) for row in dense_ints(a))
+        # the same edges in any order give an equal matrix, with the same cells, D and classes
         shuffled = list(net.edges)
         random.Random(k).shuffle(shuffled)
         rebuilt = Network(m=a.n, edges=tuple(shuffled))
         assert rebuilt.edges == tuple(shuffled)
-        assert (rebuilt._cells, rebuilt._d) == (a._cells, a._d)
-        assert rebuilt._components == net._components
+        assert rebuilt._matrix == a and matrix_from_network(rebuilt) is rebuilt._matrix
+        assert (rebuilt._matrix._cells, rebuilt._matrix._d) == (a._cells, a._d)
+        assert rebuilt._matrix._classes == a._classes
 
 
 def test_network_equality_hash_and_repr_see_only_m_and_edges():
     net = Network(m=2, edges=((1, 2, Fraction(1, 2)), (2, 1, 3)))
     assert [f.name for f in dataclasses.fields(net) if f.compare] == ["m", "edges"]
+    # the matrix is the network's one private field: no cells, D or components of its own
+    assert [f.name for f in dataclasses.fields(net)] == ["m", "edges", "_matrix"]
+    assert vars(net).keys() == {"m", "edges", "_matrix"}
+    assert not any(hasattr(net, name) for name in ("_cells", "_d", "_components"))
+    assert not hasattr(network, "cached_property")
     assert repr(net) == f"Network(m=2, edges={net.edges!r})"
     assert hash(net) == hash((2, net.edges))
-    assert (net._cells, net._d) == ((((1, 1),), ((0, 6),)), 2)
+    assert (net._matrix._cells, net._matrix._d) == ((((1, 1),), ((0, 6),)), 2)
     assert net.successors() == {1: [(2, Fraction(1, 2))], 2: [(1, Fraction(3))]}
     back = matrix_from_network(net)
-    assert (back._cells, back._d) == (net._cells, 2)
+    assert back is net._matrix and network_from_matrix(back)._matrix is back
     assert dense_ints(back) == ((None, 1), (6, None))
     unordered = Network(m=3, edges=((3, 1, 2), (1, 3, Fraction(1, 3)), (1, 2, 5), (3, 3, 0)))
-    assert (unordered._cells, unordered._d) == ((((1, 15), (2, 1)), (), ((0, 6), (2, 0))), 3)
-    # vertices 1 and 3 form the one component that holds a circuit; the edge 1 -> 2 leaves it
-    assert unordered._components == [{0: ((2, 1),), 2: ((0, 6), (2, 0))}]
+    assert (unordered._matrix._cells, unordered._matrix._d) == ((((1, 15), (2, 1)), (), ((0, 6), (2, 0))), 3)
+    # vertices 1 and 3 form the one class that holds a circuit; the edge 1 -> 2 leaves it
+    assert unordered._matrix._classes == [{0: ((2, 1),), 2: ((0, 6), (2, 0))}]
+    # equal networks may hold different matrix objects: the matrix takes no part in == or hash
+    again = Network(m=2, edges=net.edges)
+    assert again == net and hash(again) == hash(net) and again._matrix is not net._matrix
     with pytest.raises(dataclasses.FrozenInstanceError):
         net.m = 3
 
@@ -269,15 +280,16 @@ def test_single_circuit_component_mean_matches_the_walk_table():
     for _ in range(80):
         matrix, planted = plant_separated_instance(rng, rng.randint(1, 12))
         shift = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-        net = network_from_matrix(scalar_otimes(shift, matrix))
+        shifted = scalar_otimes(shift, matrix)
+        assert network_from_matrix(shifted)._matrix is shifted
         expected = []
         for cycle, weights in planted:
             heads = cycle[1:] + cycle[:1]
-            expected.append({t - 1: ((h - 1, (w + shift) * net._d),) for t, h, w in zip(cycle, heads, weights)})
-        assert sorted(net._components, key=min) == sorted(expected, key=min)
-        for succ in net._components:
+            expected.append({t - 1: ((h - 1, (w + shift) * shifted._d),) for t, h, w in zip(cycle, heads, weights)})
+        assert sorted(shifted._classes, key=min) == sorted(expected, key=min)
+        for succ in shifted._classes:
             single += all(len(pairs) == 1 for pairs in succ.values())
-            assert network._karp_component(succ, net._d) == network._karp_walks(succ, net._d)
+            assert network._karp_component(succ, shifted._d) == network._karp_walks(succ, shifted._d)
     assert single > 80
 
 
@@ -454,11 +466,10 @@ def test_network_from_a_parsed_text_matrix_reads_only_its_finite_cells():
     net = network_from_matrix(parsed)
     coerced = Network(m=n, edges=tuple(sorted(edges)))
     assert (net, hash(net), repr(net)) == (coerced, hash(coerced), repr(coerced))
-    assert net._cells is parsed._cells
-    assert (net._cells, net._d) == (coerced._cells, coerced._d)
-    assert net._d == 12
-    # one component, the whole cycle, each vertex with its one successor
-    assert net._components == [{t - 1: ((h - 1, w * 12),) for t, h, w in edges}]
+    assert net._matrix is parsed and matrix_from_network(net) is parsed
+    assert net._matrix == coerced._matrix and parsed._d == 12
+    # one class, the whole cycle, each vertex with its one successor
+    assert parsed._classes == [{t - 1: ((h - 1, w * 12),) for t, h, w in edges}]
     [circuit] = enumerate_circuits(net)
     assert (circuit.length, circuit.weight) == (n, sum(weights))
     assert min_cycle_mean(net) == MinPlusValue(Fraction(sum(weights), n))
@@ -478,10 +489,12 @@ def test_every_constructor_holds_the_same_cells():
     assert not any(hasattr(held, name) for name in ("_ints", "_int_rows", "_cell_rows", "__dict__"))
     cells = (((0, 0), (2, 8)), (), ((1, 2), (3, -12)), (), ((0, 28), (4, 5)))
     assert (held._cells, held._d) == (cells, 4)
-    for built in (parse_matrix(text), parse_matrix(json_text), matrix_from_network(network_from_matrix(held))):
+    assert matrix_from_network(network_from_matrix(held)) is held
+    edges = tuple((i + 1, j + 1, Fraction(w, 4)) for i, row in enumerate(cells) for j, w in row)
+    for built in (parse_matrix(text), parse_matrix(json_text), matrix_from_network(Network(m=5, edges=edges))):
         assert (built._cells, built._d) == (cells, 4)
         assert built == held and hash(built) == hash(held)
-        assert network_from_matrix(built)._cells is built._cells
+        assert network_from_matrix(built)._matrix is built
         assert built.rows == held.rows
         assert built.principal_submatrix([0, 2, 4]) == held.principal_submatrix([0, 2, 4])
         assert charpoly_tropdet(built) == charpoly_tropdet(held)
@@ -495,8 +508,10 @@ def _residue(component):
 
 def test_separated_check_and_min_cycle_mean_share_one_component_pass(monkeypatch, tmp_path, capsys, example7):
     # per matrix, one Tarjan pass over all n vertices feeds every tropdet kernel and
-    # every graph kernel; Johnson's search runs Tarjan again only on what is left of a
-    # component it has searched, once that component's smallest vertex goes
+    # every graph kernel, whether the network is built from the matrix or from edges,
+    # and whether verify runs its checks together or one by one; Johnson's search runs
+    # Tarjan again only on what is left of a component it has searched, once that
+    # component's smallest vertex goes
     n = 300
     order = list(range(1, n + 1))
     random.Random(20261020).shuffle(order)
@@ -509,13 +524,18 @@ def test_separated_check_and_min_cycle_mean_share_one_component_pass(monkeypatch
         # the same matrix, with no classes found yet
         return MinPlusMatrix._from_scaled(a._cells, a._d)
 
-    def all_answers(a):
-        net = network_from_matrix(a)
+    def all_answers(net):
+        a = matrix_from_network(net)
         return (separated_check(net), min_cycle_mean(net), enumerate_circuits(net),
                 charpoly_tropdet(a), canonical_charpoly_tropdet(a))
 
-    expected = [all_answers(fresh(a)) for a in matrices]
+    def one_by_one(a, flv):
+        checks = [coefficient_check(a), verify_separated_factorization(a)]
+        return [r.to_json() for r in checks + ([verify_corollary_equivalence(a)] if flv else [])]
+
+    expected = [all_answers(network_from_matrix(fresh(a))) for a in matrices]
     reports = [[r.to_json() for r in network.verify_matrix(fresh(a), 8, 20)] for a in matrices[:4]]
+    checks = [one_by_one(fresh(a), k < 4) for k, a in enumerate(matrices)]
     calls = []
     tarjan = matrix_module._strongly_connected_components
 
@@ -542,8 +562,15 @@ def test_separated_check_and_min_cycle_mean_share_one_component_pass(monkeypatch
                 ["eigenvalue", "--method", "all"], ["charpoly"], ["verify"])
     for k, (a, answers) in enumerate(zip(matrices, expected)):
         b = fresh(a)
-        assert all_answers(b) == answers
+        assert all_answers(network_from_matrix(b)) == answers
         one_whole_pass_then_residues(a.n, True, b._cells)
+        net = Network(m=a.n, edges=network_from_matrix(a).edges)
+        assert all_answers(net) == answers
+        one_whole_pass_then_residues(a.n, True, net._matrix._cells)
+        # the trace recursion of flv is O(n^3) on the 300-cycle: the corollary check skips it
+        b = fresh(a)
+        assert one_by_one(b, k < 4) == checks[k]
+        one_whole_pass_then_residues(a.n, False, b._cells)
         if k < 4:
             b = fresh(a)
             assert [r.to_json() for r in network.verify_matrix(b, 8, 20)] == reports[k]
@@ -555,6 +582,122 @@ def test_separated_check_and_min_cycle_mean_share_one_component_pass(monkeypatch
             assert main([*argv, "--format", "json", str(path)]) in (0, 4)
             capsys.readouterr()
             one_whole_pass_then_residues(a.n, johnson=argv[0] == "circuits")
+
+
+def test_verify_builds_no_network(monkeypatch, tmp_path, capsys, example7):
+    # every verify check reads the matrix's own cells and classes: no Network is
+    # built, from a matrix or from edges, by the library checks or by the CLI
+    built = []
+    from_matrix, post_init = network.network_from_matrix, Network.__post_init__
+
+    def spy_from_matrix(a):
+        built.append("matrix")
+        return from_matrix(a)
+
+    def spy_post_init(self):
+        built.append("edges")
+        post_init(self)
+
+    monkeypatch.setattr(network, "network_from_matrix", spy_from_matrix)
+    monkeypatch.setattr(cli_module, "network_from_matrix", spy_from_matrix)
+    monkeypatch.setattr(Network, "__post_init__", spy_post_init)
+    rng = random.Random(20261105)
+    matrices = [example7, diag(3, 1, 2), random_matrix(rng, 8), plant_separated_instance(rng, 9)[0]]
+    matrices.append(parse_matrix((DATA / "reducible_8x8.txt").read_text(encoding="utf-8")))
+    for k, a in enumerate(matrices):
+        reports = network.verify_matrix(a, 9, 16)
+        assert [r.check for r in reports][2:] == ["coefficients", "separated_factorization", "corollary_equivalence"]
+        assert coefficient_check(a).to_json() == reports[2].to_json()
+        assert verify_separated_factorization(a).to_json() == reports[3].to_json()
+        assert verify_corollary_equivalence(a).to_json() == reports[4].to_json()
+        path = tmp_path / f"m{k}.json"
+        path.write_text(json.dumps(a.to_json()), encoding="utf-8")
+        assert main(["verify", "--format", "json", str(path)]) in (0, 4)
+    assert main(["verify", "--random-separated", "3", "--size", "7", "--format", "json"]) in (0, 4)
+    capsys.readouterr()
+    assert built == []
+    # the spies do see the graph commands build their networks
+    assert main(["circuits", str(path)]) == 0 and main(["eigenvalue", "--method", "karp", str(path)]) == 0
+    Network(m=1, edges=())
+    capsys.readouterr()
+    assert built == ["matrix", "matrix", "edges"]
+
+
+def test_an_order_zero_network_has_no_circuits():
+    # an order-0 network holds an order-0 matrix, which no matrix constructor makes
+    net = Network(m=0, edges=())
+    assert net._matrix.n == 0 and net._matrix._classes == []
+    assert enumerate_circuits(net) == []
+    assert min_cycle_mean(net) == EPSILON
+    assert separated_check(net) is True
+    assert net.successors() == {}
+    assert enumerate_extended_circuits(net, 1) == []
+    with pytest.raises(ValueError, match="order"):
+        matrix_from_network(net)
+
+
+NOT_INTS = (True, False, 2.5, 5.0, "5", None, Fraction(5), Decimal(5))
+
+
+def test_enumerate_circuits_cap_must_be_an_int():
+    net = network_from_matrix(MinPlusMatrix([[0] * 3 for _ in range(3)]))
+    for cap in NOT_INTS:
+        with pytest.raises(TypeError, match=f"^cap must be an int, not {re.escape(repr(cap))}$"):
+            enumerate_circuits(net, cap=cap)
+    # an int cap behaves as before, negative ones included
+    assert len(enumerate_circuits(net, cap=8)) == 8
+    for cap in (7, 0, -1):
+        with pytest.raises(CapExceeded, match=f"exceeded the cap of {cap}$"):
+            enumerate_circuits(net, cap=cap)
+
+
+def test_extended_circuits_caps_must_be_ints():
+    net = Network(m=2, edges=((1, 1, 2), (2, 2, 3)))
+    for name in ("exhaustive_cap", "circuit_cap"):
+        for cap in NOT_INTS:
+            with pytest.raises(TypeError, match=f"^{name} must be an int, not {re.escape(repr(cap))}$"):
+                enumerate_extended_circuits(net, 2, **{name: cap})
+    # named in the message even where an int cap would refuse the network first
+    with pytest.raises(TypeError, match="circuit_cap"):
+        enumerate_extended_circuits(net, 2, exhaustive_cap=1, circuit_cap=None)
+    assert [f.total_length for f in enumerate_extended_circuits(net, 2, exhaustive_cap=2, circuit_cap=2)] == [2]
+    with pytest.raises(CapExceeded, match="capped at 1 vertices"):
+        enumerate_extended_circuits(net, 2, exhaustive_cap=1)
+    with pytest.raises(CapExceeded, match="exceeded the cap of 1"):
+        enumerate_extended_circuits(net, 2, circuit_cap=1)
+
+
+def test_plant_separated_instance_counts_must_be_ints():
+    rng = random.Random(20261106)
+    state = rng.getstate()
+    for name in ("n", "max_cycles"):
+        for count in NOT_INTS:
+            args = {"n": 4, "max_cycles": 3, name: count}
+            with pytest.raises(TypeError, match=f"^{name} must be an int, not {re.escape(repr(count))}$"):
+                plant_separated_instance(rng, **args)
+    # refused before any draw: the generator is where it started
+    assert rng.getstate() == state
+    with pytest.raises(ValueError, match="at least one vertex"):
+        plant_separated_instance(rng, 0)
+    assert plant_separated_instance(rng, 4, max_cycles=0)[1] == []
+
+
+def test_verify_matrix_caps_must_be_ints(monkeypatch, example7):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done before the caps were checked")
+
+    monkeypatch.setattr(network, "charpoly_tropdet", refuse)
+    for name in ("cap_perms", "cap_subsets"):
+        for cap in NOT_INTS:
+            caps = {"cap_perms": 9, "cap_subsets": 16, name: cap}
+            with pytest.raises(TypeError, match=f"^{name} must be an int, not {re.escape(repr(cap))}$"):
+                network.verify_matrix(example7, **caps)
+    monkeypatch.undo()
+    # int caps behave as before: an order above cap_perms skips the brute force
+    oracle = network.verify_matrix(example7, cap_perms=6, cap_subsets=16)[0]
+    assert oracle.hypothesis_met is False
+    with pytest.raises(CapExceeded, match="capped at order 1"):
+        network.verify_matrix(example7, cap_perms=9, cap_subsets=1)
 
 
 def test_coefficient_check_golden(example7):
