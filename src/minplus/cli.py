@@ -18,6 +18,8 @@ import json
 import os
 import random
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .charpoly import (
     BRUTE_FORCE_CAP,
@@ -153,8 +155,94 @@ def _polynomial_from_input(args) -> MinPlusPolynomial:
     return canonical_charpoly_tropdet(obj)
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _lay_out(obj, nl: str, pending: str, seps: list, leaves: list) -> str:
+    """Lay out `obj` as `json.dumps(obj, indent=2)` does where its items are
+    indented by `nl` (a newline and the indent): for each scalar, append
+    the text before it to `seps` and the scalar to `leaves`. `pending` is
+    the text since the last scalar; the return value, the text after
+    `obj`'s last scalar."""
+    if isinstance(obj, dict):
+        if not obj:
+            return pending + "{}"
+        sep, inner = "{" + nl, nl + "  "
+        for key, value in obj.items():
+            pending += sep + _encode_key(key)
+            sep = "," + nl
+            if type(value) in _SCALARS:
+                seps.append(pending)
+                leaves.append(value)
+                pending = ""
+            else:
+                pending = _lay_out(value, inner, pending, seps, leaves)
+        return pending + nl[:-2] + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return pending + "[]"
+        sep, inner = "[" + nl, nl + "  "
+        if obj[0] and set(map(type, obj)) == {dict}:
+            # records, as the rows of a report: flat dicts that share one key order
+            order = tuple(obj[0])
+            flat = _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, obj))))
+            if flat and all(map(order.__eq__, map(tuple, obj))):
+                fields = list(map(("," + inner).__add__, map(_encode_key, order)))
+                start = "{" + fields[0][1:]
+                fields[0] = pending + "[" + nl + start
+                seps.extend(fields)
+                fields[0] = nl + "}," + nl + start
+                seps.extend(fields * (len(obj) - 1))
+                leaves.extend(chain.from_iterable(map(dict.values, obj)))
+                return nl + "}" + nl[:-2] + "]"
+        for item in obj:
+            pending += sep
+            sep = "," + nl
+            if type(item) in _SCALARS:
+                seps.append(pending)
+                leaves.append(item)
+                pending = ""
+            else:
+                pending = _lay_out(item, inner, pending, seps, leaves)
+        return pending + nl[:-2] + "]"
+    seps.append(pending)
+    leaves.append(obj)
+    return ""
+
+
+def _encode_key(key) -> str:
+    return encode_basestring_ascii(key) + ": "
+
+
+def _dumps_indented(obj) -> str:
+    """`json.dumps(obj, indent=2)`, byte for byte, with the scalars encoded
+    by one call into the C encoder.
+
+    Before Python 3.13, `json.dumps` reaches its C encoder only without
+    `indent`, so an indented dump runs every value through pure-Python
+    generators. Here one walk lays out the brackets, keys and separators,
+    and `json.dumps(leaves, separators=("\\n", ": "))` encodes every
+    scalar at once: with `ensure_ascii` no encoded scalar holds a raw
+    newline, so splitting on "\\n" gives each one's text back."""
+    seps: list = []
+    leaves: list = []
+    try:
+        tail = _lay_out(obj, "\n  ", "", seps, leaves)
+    except TypeError:  # a key that is not a str: json.dumps converts it or raises
+        return json.dumps(obj, indent=2)
+    if not leaves:
+        return tail
+    texts = json.dumps(leaves, separators=("\n", ": "))[1:-1].split("\n")
+    out = [""] * (2 * len(texts))
+    out[::2] = seps
+    out[1::2] = texts
+    out.append(tail)
+    del seps, leaves, texts  # the join is the peak of memory: drop what it does not read
+    return "".join(out)
+
+
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    print(_dumps_indented(obj))
 
 
 def cmd_charpoly(args) -> int:

@@ -320,8 +320,9 @@ def scalar_otimes(alpha, a: MinPlusMatrix) -> MinPlusMatrix:
 
 def mat_power(a: MinPlusMatrix, k: int) -> MinPlusMatrix:
     """k-fold ⊗-product; k = 0 yields the identity."""
-    if not _is_int(k) or k < 0:
-        raise ValueError(f"matrix exponent must be a nonnegative integer, got {k!r}")
+    _check_int(k, "matrix exponent")
+    if k < 0:
+        raise ValueError(f"matrix exponent must be nonnegative, got {k}")
     if k == 0:
         return identity(a.n)
     result = a

@@ -289,8 +289,9 @@ def otimes_inverse(a) -> MinPlusValue:
 def power(a, k: int) -> MinPlusValue:
     """k-fold ⊗-product of a with itself: k·a, with a^0 = 0 for every a."""
     a = as_value(a)
-    if not _is_int(k) or k < 0:
-        raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
+    _check_int(k, "exponent")
+    if k < 0:
+        raise ValueError(f"exponent must be nonnegative, got {k}")
     if k == 0:
         return E
     if a._q is None:

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from minplus import MinPlusValue, plant_separated_instance
-from minplus.cli import build_parser, main
+from minplus.cli import _dumps_indented, build_parser, main
 from conftest import EXAMPLE_7X7_TEXT
 
 
@@ -561,3 +562,63 @@ def test_a_json_input_is_decoded_once(run, tmp_path, monkeypatch):
         code, _, _ = run("factor", str(path))
         assert code == 0
         assert len(decoded) == 1
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        # tuples, {} and [] at every depth, and bare scalars
+        {},
+        [],
+        (),
+        [[[[]]]],
+        {"a": ({}, [], ({"b": [[], {}, ()]},)), "c": [], "d": {}},
+        ([{}, [], (), {"x": {}}],),
+        5,
+        "ε",
+        None,
+        # records over one key order, the bulk path; then records whose keys or order differ
+        [{"kind": "anchor", "x": "-3/2", "y": -18, "slope": 12}, {"kind": "breakpoint", "x": 1, "y": None, "slope": 1.5}],
+        {"rows": [{"a": 1, "b": 2}, {"b": 2, "a": 1}]},
+        [{"a": 1}, {"b": 1}],
+        [{"a": 1}, {"a": 1, "b": 2}],
+        [{"a": 1, "v": [1, 2]}, {"a": 2, "v": []}],
+        [{}, {}],
+        [{"a": 1}, {}],
+        # records mixed with scalars and other containers
+        [{"a": 1}, 2, {"a": 3}, "x", None, [{"a": 4}]],
+        [1, {"a": 1}, {"a": 2}],
+        # strings that need escapes, as values and as keys
+        {"\n": "a\nb", '"': '"q"', "\\": "\\\\", "\x00": "\x00\x1f", "ε": ["ε", "x \u2297 y", "\ud800"]},
+        [{"\n": "\t", "ε": "ε"}, {"\n": "", "ε": "\u2028"}],
+        # non-str keys, which json.dumps converts
+        {1: "a", "b": [1], None: {}, True: 2.5},
+    ],
+)
+def test_json_writer_equals_json_dumps(obj):
+    assert _dumps_indented(obj) == json.dumps(obj, indent=2)
+
+
+def test_json_writer_meets_the_int_digit_limit_as_json_dumps_does():
+    # Python 3.10.7 on limits the digits of an int printed as text (4300 by
+    # default, 0 for none); the writer raises json.dumps's ValueError past it
+    # and prints the same text as json.dumps where there is no limit.
+    big = 10 ** 5000
+    objs = (big, [big], {"a": big}, [{"a": big}, {"a": 1}], {"a": [big, {}]})
+    if not hasattr(sys, "set_int_max_str_digits"):
+        for obj in objs:
+            assert _dumps_indented(obj) == json.dumps(obj, indent=2)
+        return
+    before = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        for obj in objs:
+            assert _dumps_indented(obj) == json.dumps(obj, indent=2)
+        sys.set_int_max_str_digits(4300)
+        for obj in objs:
+            with pytest.raises(ValueError) as expected:
+                json.dumps(obj, indent=2)
+            with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+                _dumps_indented(obj)
+    finally:
+        sys.set_int_max_str_digits(before)

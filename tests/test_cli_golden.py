@@ -9,7 +9,12 @@ circuit. A second input, a reducible 8x8 matrix with fractional entries
 (D = 12), has three: a 2-cycle that is one circuit, a loop, and a class of
 two circuits that share vertices, with two vertices on no circuit. Its JSON stdout
 of `verify`, `circuits`, `eigenvalue --method all` and `charpoly --method
-both --canonical` is pinned the same way."""
+both --canonical` is pinned the same way.
+
+A third input is a polynomial file, the route of `factor`, `roots` and
+`plot-data` that reads no matrix: fractional coefficients, an interior ε
+run and a trailing ε run, so its factorization has x^2. Its JSON stdout of
+those three commands is pinned too."""
 
 from pathlib import Path
 
@@ -20,6 +25,7 @@ from minplus.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLE = "demos/data/worked_example_7x7.txt"
 REDUCIBLE = "tests/data/cli/reducible_8x8.txt"
+POLYNOMIAL = "tests/data/cli/polynomial_deg12.json"
 
 
 @pytest.mark.parametrize(
@@ -61,4 +67,12 @@ def test_reducible_matrix_prints_golden_json(name, argv, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert main(list(argv)) == 0
     expected = (ROOT / "tests" / "data" / "cli" / f"reducible_8x8.{name}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("command", ["factor", "roots", "plot-data"])
+def test_polynomial_file_prints_golden_json(command, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert main([command, "--format", "json", POLYNOMIAL]) == 0
+    expected = (ROOT / "tests" / "data" / "cli" / f"polynomial_deg12.{command}.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
