@@ -68,12 +68,11 @@ computation on Fractions.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from .errors import CapExceeded
 from .matrix import MinPlusMatrix, _Component, _dense, _int_product, _single_circuit
-from .polynomial import MinPlusPolynomial, _hull_corners, _require_monic, canonicalize
+from .polynomial import MinPlusPolynomial, canonicalize, factorize
 from .semiring import EPSILON, MinPlusValue, _check_int, _unscaled
 
 __all__ = [
@@ -466,9 +465,9 @@ def eigenvalue_from_charpoly(p: MinPlusPolynomial) -> MinPlusValue:
 
     The leading line n*x is the strict minimum for very negative x, so the
     first breakpoint sits where some line c_j + (n-j)*x first catches it,
-    at x = c_j / j: the slope of the lower hull's first segment, from
-    (0, 0). Returns ε when c_1..c_n are all ε (no breakpoints).
+    at x = c_j / j: the least root of ``factorize(p)``, the slope of the
+    lower hull's first segment, from (0, 0). Returns ε when c_1..c_n are
+    all ε (no breakpoints).
     """
-    _require_monic(p)
-    corners = _hull_corners(p)
-    return EPSILON if len(corners) == 1 else MinPlusValue(Fraction(corners[1][1], corners[1][0] * p._d))
+    factors = factorize(p).factors
+    return factors[0][0] if factors else EPSILON

@@ -301,7 +301,7 @@ def cmd_eigenvalue(args) -> int:
             values[method] = eigenvalue_from_charpoly(canonical_charpoly_tropdet(matrix))
         else:
             values[method] = eigenvalue_from_charpoly(charpoly_flv(matrix))
-    agree = len({str(v) for v in values.values()}) == 1
+    agree = len(set(values.values())) == 1
     if args.format == "json":
         payload = {method: value.to_json() for method, value in values.items()}
         if args.method == "all":

@@ -36,7 +36,7 @@ from .charpoly import _class_product, charpoly_flv, charpoly_tropdet, tropdet_as
 from .errors import CapExceeded
 from .matrix import MinPlusMatrix, _Component, _single_circuit, _strongly_connected_components
 from .polynomial import Factorization, MinPlusPolynomial, canonicalize, factorize
-from .semiring import EPSILON, MinPlusValue, _check_int, _common_denominator, _is_int, _ratio, _rational, _scaled
+from .semiring import MinPlusValue, _check_int, _common_denominator, _is_int, _ratio, _rational, _scaled
 
 __all__ = [
     "Network",
@@ -361,7 +361,7 @@ def min_cycle_mean(net: Network) -> MinPlusValue:
     strongly connected component, since every circuit lives inside one.
     """
     a = net._matrix
-    return min((MinPlusValue(_karp_component(succ, a._d)) for succ in a._classes), default=EPSILON)
+    return MinPlusValue(min((_karp_component(succ, a._d) for succ in a._classes), default=None))
 
 
 def enumerate_extended_circuits(

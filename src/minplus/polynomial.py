@@ -16,13 +16,19 @@ Like a matrix, a polynomial is stored once in the scaled int form: each
 coefficient times D as an int, None for ε, with D the least common
 multiple of the reduced denominators of the finite coefficients. The
 lower hull runs on those ints; the coefficients as min-plus values
-(``coeffs``) are built only when asked for.
+(``coeffs``) are built only when asked for. The roots come from that hull
+once: ``factorize`` turns each segment's ints into its root, and
+``eigenvalue_from_charpoly`` takes the least of them. ``Factorization(...)``
+checks its roots as Fractions, whoever builds it. ``expand`` sums the roots
+as ints, in units of the lcm of their denominators, and returns the product
+in the scaled form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 
 from .errors import ParseError, decode_json
@@ -130,7 +136,7 @@ class Factorization:
                 raise ValueError("factor roots must be finite")
             if mult < 1:
                 raise ValueError("multiplicities must be positive")
-        roots = [root for root, _ in self.factors]
+        roots = [root._q for root, _ in self.factors]
         if any(not a < b for a, b in zip(roots, roots[1:])):
             raise ValueError("roots must be strictly increasing")
         _check_int(self.xpower, "x-power")
@@ -246,18 +252,12 @@ def expand(f: Factorization) -> MinPlusPolynomial:
     Coefficient c_j of the product is the minimum over j-subsets of the
     root multiset of their sum, which for sorted roots is the sum of the j
     smallest; coefficients past the root count are ε (the x^r factor).
+    The sums run on the roots times D, the lcm of their denominators.
     """
-    roots: list[Fraction] = []
-    for root, mult in f.factors:
-        roots.extend([root.rational] * mult)
-    n = f.degree
-    coeffs: list[Fraction | None] = [Fraction(0)]
-    total = Fraction(0)
-    for r in roots:
-        total += r
-        coeffs.append(total)
-    coeffs.extend([None] * (n - len(roots)))
-    return MinPlusPolynomial(coeffs)
+    ratios = [(_ratio(root._q), mult) for root, mult in f.factors]
+    d = _common_denominator(pair for pair, _ in ratios)
+    steps = [_scaled(pair, d) for pair, mult in ratios for _ in range(mult)]
+    return MinPlusPolynomial._from_scaled(tuple(accumulate(steps, initial=0)) + (None,) * f.xpower, d)
 
 
 def breakpoints(p: MinPlusPolynomial) -> list[tuple[Fraction, Fraction, int, int]]:

@@ -109,6 +109,19 @@ def test_expand_examples():
     f = Factorization(factors=((MinPlusValue(2), 3), (MinPlusValue(14), 1)), xpower=3)
     assert expand(f).coeffs == P([0, 2, 4, 6, 20, EPS, EPS, EPS]).coeffs
 
+    # roots of mixed denominators, against the sums of the j least roots on Fractions
+    for factors, xpower in [
+        (((Fraction(-5, 4), 5), (Fraction(1, 2), 2), (Fraction(2, 3), 3)), 2),
+        (((Fraction(-7, 3), 1), (Fraction(-5, 4), 4), (Fraction(2, 3), 5), (Fraction(9, 10), 2)), 0),
+        (((Fraction(1, 2), 5), (Fraction(3, 2), 5)), 4),
+    ]:
+        roots = [root for root, mult in factors for _ in range(mult)]
+        reference = [sum(roots[:j], Fraction(0)) for j in range(len(roots) + 1)] + [EPS] * xpower
+        f = Factorization(factors=tuple((MinPlusValue(root), mult) for root, mult in factors), xpower=xpower)
+        assert expand(f) == P(reference)
+        assert expand(f).coeffs == P(reference).coeffs
+        assert factorize(expand(f)) == f
+
 
 def test_factorization_validation():
     with pytest.raises(ValueError):
@@ -126,6 +139,18 @@ def test_factorization_validation():
     for xpower in (0.0, True, False, Fraction(1, 2), None):
         with pytest.raises(TypeError, match="x-power"):
             Factorization(factors=(), xpower=xpower)
+    # equal roots, in any of their forms, a negative multiplicity and a float root
+    for roots in ((MinPlusValue(2), MinPlusValue(2)), (2, "2"), ("1/2", Fraction(1, 2))):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Factorization(factors=tuple((root, 1) for root in roots), xpower=0)
+    with pytest.raises(ValueError, match="positive"):
+        Factorization(factors=((MinPlusValue(1), -2),), xpower=0)
+    with pytest.raises(TypeError, match="floats"):
+        Factorization(factors=((1.5, 1),), xpower=0)
+    # int and "p/q" roots are coerced to min-plus values
+    f = Factorization(factors=((-3, 2), ("1/2", 1), ("7/3", 1)), xpower=1)
+    assert all(root.__class__ is MinPlusValue for root, _ in f.factors)
+    assert f.factors == ((MinPlusValue(-3), 2), (MinPlusValue(Fraction(1, 2)), 1), (MinPlusValue(Fraction(7, 3)), 1))
 
 
 def test_breakpoints():

@@ -17,10 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 from minplus import (
     EPSILON,
+    Factorization,
     MinPlusPolynomial,
     MinPlusValue,
     breakpoints,
     canonicalize,
+    eigenvalue_from_charpoly,
     evaluate,
     expand,
     factorize,
@@ -136,6 +138,11 @@ def test_breakpoint_slopes_match_factorization(p):
     assert all(left == slope for (_, _, left, _), slope in zip(points, slopes))
     for x, y, _, _ in points:
         assert evaluate(p, x) == MinPlusValue(y)
+    # the constructor takes factorize's factors back as they are
+    assert f == Factorization(factors=f.factors, xpower=f.xpower)
+    # the least root is min over the finite c_j, j >= 1, of c_j / j
+    quotients = [c.rational / j for j, c in enumerate(p.coeffs) if j and not c.is_epsilon]
+    assert eigenvalue_from_charpoly(p) == MinPlusValue(min(quotients, default=None))
 
 
 def test_degree_50000_all_corners():
