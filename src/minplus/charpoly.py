@@ -5,7 +5,8 @@ Two distinct constructions are provided:
 * ``charpoly_tropdet`` expands tropdet(A ⊕ x⊗I): the coefficient of
   x^{n-j} is the minimum tropical determinant over all j-by-j principal
   submatrices (choosing x at the other n-j diagonal positions forces a
-  permutation on the complementary index set).
+  permutation on the complementary index set), that is the least weight
+  of a family of vertex-disjoint circuits of total length j.
 * ``charpoly_flv`` is defined by the trace recursion
   c_k = Tr(A^k ⊕ c_1⊗A^{k-1} ⊕ ... ⊕ c_{k-1}⊗A),
   the min-plus counterpart of the classical trace-based coefficient
@@ -20,7 +21,8 @@ the classes' own polynomials, times x for each vertex on no circuit
 Gaubert, Handbook of Linear Algebra, ch. 25, 2006). Each kernel here runs
 per class (``MinPlusMatrix._classes``) and merges the results: a class that
 is one circuit of length l and weight W contributes x^l ⊕ W in closed form,
-and any other class is scanned or probed on its own rows.
+and any other class takes the circuit-family program or the probes on its
+own edges and rows.
 
 Every root of the first polynomial is fixed by the lower hull of the
 points (j, c_j) alone, that is by the function f(x) = tropdet(A ⊕ x⊗I) =
@@ -35,12 +37,15 @@ only the diagonal, and it keeps one optimal assignment and its duals
 across the probes: each probe re-augments only the rows whose diagonal
 change broke their dual constraint or their matched cell's tightness. The
 coefficients off the hull (the best principal submatrix problem, of open
-complexity) need the subset scan of ``charpoly_tropdet``, which
+complexity) need the exponential program of ``charpoly_tropdet``, which
 ``charpoly`` and ``verify`` keep, under their cap on the order of each
-class scanned. The scan costs one shortest augmenting path per subset of
-a class, O(Σ 2^k·k^2) over the classes of order k that are not single
-circuits: each minor's optimal assignment extends that of its parent, one
-row and one column smaller.
+class it takes. It reads each coefficient off the graph: a Held–Karp
+style pass over a class's vertex subsets builds every family of disjoint
+circuits once, each circuit opened at its lowest vertex, in O(2^k·m) on a
+class of order k with m internal edges (``_circuit_families``), whatever
+the number of circuits. ``verify`` checks it against the literal
+definition, one shortest augmenting path per principal minor
+(``network._subset_scan``).
 
 Any optimal matching at X is a supporting line of the hull. Let k of
 its matched diagonal cells take X, let S be the other n-k indices and
@@ -54,8 +59,8 @@ The tropical determinant itself comes in two independent implementations,
 a permutation brute force and a minimum-cost assignment solver, so each
 can serve as the other's oracle. The brute force walks only finite cells,
 so its work grows with the partial permutations through them (n! only on
-dense input). The solver, the subset scan and the hull's probes share one
-augmentation step, ``_augment``.
+dense input). The solver, the hull's probes and ``verify``'s principal-minor
+scan share one augmentation step, ``_augment``.
 
 All inner loops run on Python ints, with None for ε: they read the
 matrix's finite cells (its entries times the least common multiple D of
@@ -242,13 +247,23 @@ def _class_rows(succ: _Component, scale: int = 1) -> list[list[int | None]]:
 
 def _class_product(classes: list[_Component], kernel) -> dict[int, int]:
     """The min-plus product over the classes of their own sequences, each
-    held as {j: c_j} over its finite entries: {0: 0, l: W} for a class
-    that is one circuit of length l and weight W, kernel(class) for any
-    other. ε is skipped: r_j = min over i + l = j of p_i + q_l."""
-    product = {0: 0}
+    held as {j: c_j} over its finite entries: kernel(class) for a class
+    that is not one circuit. ε is skipped: r_j = min over i + l = j of
+    p_i + q_l. The classes that are one circuit of length l and weight W,
+    {0: 0, l: W} each, come in one factor per (l, W): m copies multiply to
+    {i·l: i·W for i in 0..m} exactly, so identical circuits cost one
+    product, not m."""
+    copies: dict[tuple[int, int], int] = {}
+    factors = []
     for succ in classes:
         circuit = _single_circuit(succ)
-        factor = {0: 0, circuit[0]: circuit[1]} if circuit is not None else kernel(succ)
+        if circuit is None:
+            factors.append(kernel(succ))
+        else:
+            copies[circuit] = copies.get(circuit, 0) + 1
+    factors += [{i * l: i * w for i in range(m + 1)} for (l, w), m in copies.items()]
+    product = {0: 0}
+    for factor in factors:
         r: dict[int, int] = {}
         for i, x in product.items():
             for l, y in factor.items():
@@ -262,11 +277,14 @@ def charpoly_tropdet(a: MinPlusMatrix, cap: int = SUBSET_CAP) -> MinPlusPolynomi
     """The characteristic polynomial tropdet(A ⊕ x⊗I), as coefficients.
 
     c_0 = 0 and c_j = min over size-j index subsets S of the tropical
-    determinant of A restricted to S. It is the ⊗-product of the classes'
-    polynomials (see the module docstring): a class that is one circuit
-    gives x^l ⊕ W, any other class the subset scan of its own rows
-    (``_subset_scan`` on ``_class_rows``). The cap bounds the order of the
-    largest class scanned, and is checked before any scan starts.
+    determinant of A restricted to S: the least weight of a family of
+    vertex-disjoint circuits covering exactly j vertices. It is the
+    ⊗-product of the classes' polynomials (see the module docstring): a
+    class that is one circuit gives x^l ⊕ W, any other class the circuit
+    family program over its vertex subsets (``_circuit_families``), in
+    O(2^k·m) on a class of order k with m internal edges. The cap bounds
+    the order of the largest class that takes the program, and is checked
+    before any class is.
     """
     _check_int(cap, "cap")
     scanned = [len(succ) for succ in a._classes if _single_circuit(succ) is None]
@@ -275,47 +293,80 @@ def charpoly_tropdet(a: MinPlusMatrix, cap: int = SUBSET_CAP) -> MinPlusPolynomi
             f"principal-minor enumeration is capped at order {cap} "
             f"(got a strongly connected class of order {max(scanned)})"
         )
-    coeffs = _class_product(a._classes, lambda succ: _subset_scan(_class_rows(succ)))
+    coeffs = _class_product(a._classes, _circuit_families)
     return MinPlusPolynomial._from_scaled(tuple(coeffs.get(j) for j in range(a.n + 1)), a._d)
 
 
-def _subset_scan(ints) -> dict[int, int]:
-    """{j: c_j} over the finite c_j (c_0 = 0 among them) of the principal
-    minors of dense int rows, None for ε.
+def _circuit_families(succ: _Component) -> dict[int, int]:
+    """{j: least weight} of the vertex-disjoint circuit families inside one
+    class, j = 0 included, by one dynamic program over its vertex subsets S
+    (bitmasks, bit v for the class's v-th vertex, in any order).
 
-    The subsets are visited depth-first in inclusion order, a child being
-    S ∪ {k} with k > max S, and each child's optimal assignment extends its
-    parent's by one shortest augmenting path (``_augment``, the step of
-    ``_assignment``): the child copies the parent's matching and duals,
-    takes v_k = min_{i∈S} a_ik - u_i so that column k is dual feasible, and
-    augments from row k, whose first round sets u_k = min_j a_kj - v_j.
-    That is one O(j^2) augmentation per subset, O(2^n·n^2) in all.
+    A principal minor on S is finite only through a permutation of S on
+    finite cells, whose cycles are disjoint circuits covering S, and every
+    such family is such a permutation: c_j is the least family weight over
+    the j-subsets. Order a family's circuits by decreasing lowest vertex:
+    the family is then built in exactly one way, opening each circuit at
+    its lowest vertex, below every vertex covered so far, and walking it
+    through higher vertices back to it. With paths[S][v] the least weight
+    of closed circuits plus one open path from min(S) to v, together
+    covering exactly S,
 
-    So that every parent has a perfect matching to extend, ε costs
-    2B+1 here, with B = Σ_i max_j |a_ij| over the finite cells (an all-ε
-    row adds 0): a permutation through finite cells costs at most B, and
-    one through an ε cell at least B+1, so a minor is finite iff its
-    optimal cost is at most B.
+        paths[{u}][u] = 0,
+        paths[S ∪ {u}][u] ≤ paths[S][v] + a(v, u)   for u ∉ S, u > min(S),
+        closed[S] = min over v of paths[S][v] + a(v, min(S)),
+        paths[S ∪ {u}][u] ≤ closed[S]               for u < min(S),
+
+    and closed[S] is the least weight of a family covering exactly S. Each
+    step goes to a larger mask, so one ascending pass over a table indexed
+    by mask, each entry freed as it is read, takes O(2^k · m) on a class
+    of k vertices and m internal edges. Per lowest vertex, each vertex's
+    edges to vertices above it and the edges back to it are listed once.
     """
-    n = len(ints)
-    bound = sum(max((abs(w) for w in row if w is not None), default=0) for row in ints)
-    rows = [[2 * bound + 1 if w is None else w for w in row] for row in ints]
-    coeffs = {0: 0}
-    zeros = [0] * (n + 1)
-    # (the subset S as 1-based columns in increasing order, its cost, u, v, match)
-    stack = [((), 0, zeros, zeros, zeros)]
-    while stack:
-        subset, cost, u, v, match = stack.pop()
-        j = len(subset)
-        if j and cost <= bound and (j not in coeffs or cost < coeffs[j]):
-            coeffs[j] = cost
-        for k in range(subset[-1] + 1 if subset else 1, n + 1):
-            child = subset + (k,)
-            cu, cv, cm = u[:], v[:], match[:]
-            cv[k] = min((rows[i - 1][k - 1] - cu[i] for i in subset), default=0)
-            _augment(rows, child, cu, cv, cm, k)  # ε is finite here, so it always augments
-            stack.append((child, sum(rows[cm[c] - 1][c - 1] for c in child), cu, cv, cm))
-    return coeffs
+    k = len(succ)
+    pos = {v: i for i, v in enumerate(succ)}
+    edges = [[(pos[h], w) for h, w in pairs] for pairs in succ.values()]
+    # ups[low][v]: v's edges (u, bit of u, weight) to the vertices u > low
+    ups = [[[(u, 1 << u, w) for u, w in out if u > low] for out in edges] for low in range(k)]
+    backs: list[dict[int, int]] = [{} for _ in range(k)]  # backs[low][v]: the edge v -> low
+    for v, out in enumerate(edges):
+        for u, w in out:
+            backs[u][v] = w
+    paths: list[dict[int, int] | None] = [None] * (1 << k)
+    for u in range(k):
+        paths[1 << u] = {u: 0}
+    minima = {0: 0}
+    for s in range(1, 1 << k):
+        ends = paths[s]
+        if ends is None:
+            continue
+        paths[s] = None
+        low = (s & -s).bit_length() - 1
+        up, back = ups[low], backs[low]
+        closed = None
+        for v, total in ends.items():
+            for u, bit, w in up[v]:
+                if not s & bit:
+                    target = paths[s | bit]
+                    if target is None:
+                        paths[s | bit] = {u: total + w}
+                    elif u not in target or total + w < target[u]:
+                        target[u] = total + w
+            w = back.get(v)
+            if w is not None and (closed is None or total + w < closed):
+                closed = total + w
+        if closed is None:
+            continue
+        j = s.bit_count()
+        if j not in minima or closed < minima[j]:
+            minima[j] = closed
+        for u in range(low):  # S is the one set that opens a circuit at u below it
+            target = paths[s | 1 << u]
+            if target is None:
+                paths[s | 1 << u] = {u: closed}
+            else:
+                target[u] = closed
+    return minima
 
 
 def _reprobe(rows, diagonal, u, v, match, p: int) -> tuple[int, int]:

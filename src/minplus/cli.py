@@ -81,8 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def cap_subsets(p):
         p.add_argument("--cap-subsets", type=_positive_int, default=SUBSET_CAP,
-                       help="cap on the order of each strongly connected class the principal-minor "
-                            "scan covers; a class that is one circuit is not scanned")
+                       help="cap on the order of each strongly connected class that takes a 2^k "
+                            "pass over its subsets (the circuit-family program, and verify's "
+                            "principal-minor scan); a class that is one circuit takes none")
 
     hull, either = ("tropdet", "flv"), "polynomial or matrix file"
     p = command("charpoly", "characteristic polynomial(s) of a matrix", ("tropdet", "flv", "both"), "both")

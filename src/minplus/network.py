@@ -6,8 +6,8 @@ enumerates elementary circuits and vertex-disjoint circuit families,
 computes the minimum circuit average weight (the eigenvalue oracle), and
 cross-verifies the characteristic-polynomial structure theorems against
 graph data. `verify_matrix` runs every check on one matrix from one
-computation of each polynomial, one component pass and one subset dynamic
-program per component; it lists no circuits.
+computation of each polynomial, one component pass and one principal-minor
+scan per component, the oracle of the coefficients; it lists no circuits.
 
 A network holds its matrix (``_matrix``), the one owner of the graph: the
 matrix's finite cells (per vertex, its (head, weight times D) pairs in
@@ -17,9 +17,9 @@ that hold a circuit (``MinPlusMatrix._classes``, one Tarjan pass per
 matrix). A network built from a matrix holds that matrix itself; one
 built from edges builds its matrix once. Every graph kernel here reads
 the classes: Johnson's circuit search, Karp's minimum cycle mean, the
-family minima and the separation checks. The ``verify`` checks take the
-matrix and build no network, so the tropdet kernels and the graph
-kernels make one class pass per matrix between them.
+principal-minor oracle and the separation checks. The ``verify`` checks
+take the matrix and build no network, so the tropdet kernels and the
+graph kernels make one class pass per matrix between them.
 Fractions appear only in ``edges``, in each ``Circuit`` and in results.
 
 Vertices are labeled 1..m in ``edges``, circuits and every result,
@@ -32,7 +32,15 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .charpoly import _class_product, charpoly_flv, charpoly_tropdet, tropdet_assignment, tropdet_bruteforce
+from .charpoly import (
+    _augment,
+    _class_product,
+    _class_rows,
+    charpoly_flv,
+    charpoly_tropdet,
+    tropdet_assignment,
+    tropdet_bruteforce,
+)
 from .errors import CapExceeded
 from .matrix import MinPlusMatrix, _Component, _single_circuit, _strongly_connected_components
 from .polynomial import Factorization, MinPlusPolynomial, canonicalize, factorize
@@ -401,73 +409,63 @@ def enumerate_extended_circuits(
     return families
 
 
-def _family_minima(a: MinPlusMatrix) -> dict[int, Fraction]:
-    """Least weight of a vertex-disjoint circuit family of total length j,
-    for each j that has one; no circuit is listed.
+def _minor_minima(a: MinPlusMatrix) -> dict[int, Fraction]:
+    """Least j-by-j principal minor of A, for each j >= 1 that has a finite
+    one: the literal definition of c_j, found without any circuit.
 
-    Every circuit lies inside one strongly connected component, so a
-    family is one family per component, and the minima are the min-plus
-    product of the components' own (``_class_product``): a component that
-    is one circuit has its length and weight alone, any other takes the
-    subset program of ``_component_family_minima``.
-    """
-    minima = _class_product(a._classes, _component_family_minima)
+    The oracle of the coefficients check: each component that is not one
+    circuit takes the principal-minor scan of ``_subset_scan`` on its own
+    rows, and the components' minima are merged as in ``charpoly_tropdet``
+    (``_class_product``), whose circuit-family program it checks."""
+    minima = _class_product(a._classes, lambda succ: _subset_scan(_class_rows(succ)))
     return {j: Fraction(total, a._d) for j, total in minima.items() if j}
 
 
-def _component_family_minima(component: _Component) -> dict[int, int]:
-    """{j: least weight} of the circuit families inside one component, j = 0
-    included, by one dynamic program over its vertex subsets S (bitmasks,
-    bit v for the component's v-th vertex, in any order).
+def _subset_scan(ints) -> dict[int, int]:
+    """{j: c_j} over the finite c_j (c_0 = 0 among them) of the principal
+    minors of dense int rows, None for ε.
 
-    Order a family's circuits by decreasing lowest vertex: the family is
-    then built in exactly one way, opening each circuit at its lowest
-    vertex, below every vertex covered so far, and walking it through
-    higher vertices back to it. With paths[S][v] the least weight of closed
-    circuits plus one open path from min(S) to v, together covering exactly S,
+    The subsets are visited depth-first in inclusion order, a child being
+    S ∪ {k} with k > max S, and each child's optimal assignment extends its
+    parent's by one shortest augmenting path (``_augment``, the step of
+    the assignment solver): the child copies the parent's matching and
+    duals, takes v_k = min_{i∈S} a_ik - u_i so that column k is dual
+    feasible, and augments from row k, whose first round sets
+    u_k = min_j a_kj - v_j. That is one O(j^2) augmentation per subset,
+    O(2^n·n^2) in all.
 
-        paths[{u}][u] = 0,
-        paths[S ∪ {u}][u] ≤ paths[S][v] + a(v, u)   for u ∉ S, u > min(S),
-        closed[S] = min over v of paths[S][v] + a(v, min(S)),
-        paths[S ∪ {u}][u] ≤ closed[S]               for u < min(S),
-
-    and closed[S] is the least weight of a family covering exactly S. Each
-    step goes to a larger mask, so one ascending pass takes O(2^k · m) on
-    a component of k vertices and m internal edges.
+    So that every parent has a perfect matching to extend, ε costs
+    2B+1 here, with B = Σ_i max_j |a_ij| over the finite cells (an all-ε
+    row adds 0): a permutation through finite cells costs at most B, and
+    one through an ε cell at least B+1, so a minor is finite iff its
+    optimal cost is at most B.
     """
-    pos = {v: i for i, v in enumerate(component)}
-    succ = [[(pos[h], w) for h, w in pairs] for pairs in component.values()]
-    paths: dict[int, dict[int, int]] = {1 << u: {u: 0} for u in range(len(succ))}
-    minima = {0: 0}
-    for s in range(1, 1 << len(succ)):
-        ends = paths.pop(s, None)
-        if ends is None:
-            continue
-        low = (s & -s).bit_length() - 1
-        closed = None
-        for v, total in ends.items():
-            for u, weight in succ[v]:
-                if u > low and not s >> u & 1:
-                    target = paths.setdefault(s | 1 << u, {})
-                    if u not in target or total + weight < target[u]:
-                        target[u] = total + weight
-                elif u == low and (closed is None or total + weight < closed):
-                    closed = total + weight
-        if closed is None:
-            continue
-        j = s.bit_count()
-        minima[j] = min(closed, minima.get(j, closed))
-        for u in range(low):
-            target = paths.setdefault(s | 1 << u, {})
-            if u not in target or closed < target[u]:
-                target[u] = closed
-    return minima
+    n = len(ints)
+    bound = sum(max((abs(w) for w in row if w is not None), default=0) for row in ints)
+    rows = [[2 * bound + 1 if w is None else w for w in row] for row in ints]
+    coeffs = {0: 0}
+    zeros = [0] * (n + 1)
+    # (the subset S as 1-based columns in increasing order, its cost, u, v, match)
+    stack = [((), 0, zeros, zeros, zeros)]
+    while stack:
+        subset, cost, u, v, match = stack.pop()
+        j = len(subset)
+        if j and cost <= bound and (j not in coeffs or cost < coeffs[j]):
+            coeffs[j] = cost
+        for k in range(subset[-1] + 1 if subset else 1, n + 1):
+            child = subset + (k,)
+            cu, cv, cm = u[:], v[:], match[:]
+            cv[k] = min((rows[i - 1][k - 1] - cu[i] for i in subset), default=0)
+            _augment(rows, child, cu, cv, cm, k)  # ε is finite here, so it always augments
+            stack.append((child, sum(rows[cm[c] - 1][c - 1] for c in child), cu, cv, cm))
+    return coeffs
 
 
-def _coefficient_report(poly: MinPlusPolynomial, minima: dict[int, Fraction]) -> Report:
+def _coefficient_report(a: MinPlusMatrix, poly: MinPlusPolynomial) -> Report:
+    minima = _minor_minima(a)
     details = []
     for j in range(1, poly.degree + 1):
-        coefficient, family = poly.coeffs[j], MinPlusValue(minima.get(j))
+        coefficient, family = MinPlusValue(minima.get(j)), poly.coeffs[j]
         details.append({"j": j, "coefficient": coefficient.to_json(), "circuit_minimum": family.to_json(),
                         "match": coefficient == family})
     passed = all(d["match"] for d in details)
@@ -475,13 +473,15 @@ def _coefficient_report(poly: MinPlusPolynomial, minima: dict[int, Fraction]) ->
 
 
 def coefficient_check(a: MinPlusMatrix) -> Report:
-    """Compare each coefficient of tropdet(A ⊕ x⊗I) with the minimum
-    weight sum of vertex-disjoint circuit families of that total length,
-    computed by a dynamic program over the vertex subsets of each
-    component that reads the graph only (see `_family_minima`). The subset
-    scan of `charpoly_tropdet` runs first, so its cap stops both
-    exponential stages, which scan the same components."""
-    return _coefficient_report(charpoly_tropdet(a), _family_minima(a))
+    """Compare each coefficient of tropdet(A ⊕ x⊗I), as its least principal
+    minor of that order, with the minimum weight sum of vertex-disjoint
+    circuit families of that total length. The families are the production
+    polynomial, ``charpoly_tropdet``'s program over the vertex subsets of
+    each component; the minors come from the independent principal-minor
+    scan of each component (``_minor_minima``). ``charpoly_tropdet`` runs
+    first, so its cap stops both exponential stages, which take the same
+    components."""
+    return _coefficient_report(a, charpoly_tropdet(a))
 
 
 def _is_separated(a: MinPlusMatrix) -> bool:
@@ -564,10 +564,12 @@ def verify_corollary_equivalence(a: MinPlusMatrix) -> Report:
 def verify_matrix(a: MinPlusMatrix, cap_perms: int, cap_subsets: int) -> list[Report]:
     """Every check of `minplus verify` on one matrix: the tropdet oracle,
     separation, coefficients, separated factorization and the corollary
-    equivalence. No circuit is listed. The subset scan of `charpoly_tropdet`
-    runs first, so a component above `cap_subsets` that is not one circuit
-    is refused before the permutation brute force or the family-minima
-    program starts: that program scans the same components."""
+    equivalence. No circuit is listed. The coefficients check compares
+    `charpoly_tropdet`, whose circuit-family program reads the graph, with
+    the principal-minor scan of each component (``_minor_minima``).
+    `charpoly_tropdet` runs first, so a component above `cap_subsets` that
+    is not one circuit is refused before the permutation brute force or
+    the scan starts: the scan takes the same components."""
     _check_int(cap_perms, "cap_perms")
     _check_int(cap_subsets, "cap_subsets")
     g = charpoly_tropdet(a, cap=cap_subsets)
@@ -582,7 +584,7 @@ def verify_matrix(a: MinPlusMatrix, cap_perms: int, cap_subsets: int) -> list[Re
     return [
         oracle,
         Report(check="separated", hypothesis_met=None, details=[{"separated": separated}]),
-        _coefficient_report(g, _family_minima(a)),
+        _coefficient_report(a, g),
         _factorization_report(a, g if separated else None),
         _equivalence_report(separated, g, charpoly_flv(a)),
     ]

@@ -1,10 +1,16 @@
 """Shared fixtures and random-instance helpers."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from minplus import MinPlusMatrix, parse_matrix
+
+try:
+    from hypothesis import strategies as st
+except ImportError:  # the modules that draw from its strategies skip themselves
+    st = None
 
 # The 7x7 worked example used throughout: a sparse matrix whose network has
 # one loop, one 2-cycle, one 3-cycle, and one 4-cycle, and whose two
@@ -54,3 +60,38 @@ def random_matrix(rng, n, density=None, allow_fractions=True) -> MinPlusMatrix:
                 row.append(None)
         rows.append(tuple(row))
     return MinPlusMatrix(tuple(rows))
+
+
+if st is not None:
+
+    @st.composite
+    def composed_matrix(draw, max_blocks, max_block_order=6):
+        """(matrix, blocks): random blocks of order at most max_block_order,
+        each with its own drawn share of ε, joined by edges from earlier to
+        later blocks only, so that every circuit lies inside one block, with
+        the vertices shuffled. The blocks come back as matrices of their own.
+
+        The number of blocks is drawn; their orders and shares of ε, the
+        entries, the joining edges and the shuffle come from one drawn
+        seed, so that orders in the hundreds stay cheap to draw."""
+        count = draw(st.integers(1, max_blocks))
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        orders = [rng.randint(1, max_block_order) for _ in range(count)]
+        n = sum(orders)
+        rows = [[None] * n for _ in range(n)]
+        blocks, after = [], []  # after[v]: the first vertex past v's block
+        for order in orders:
+            start, density = len(after), rng.randint(0, 10)
+            block = [[random_entry(rng) if rng.randrange(10) < density else None for _ in range(order)]
+                     for _ in range(order)]
+            for i, row in enumerate(block):
+                rows[start + i][start : start + order] = row
+            blocks.append(MinPlusMatrix(block))
+            after += [start + order] * order
+        for _ in range(rng.randint(0, 3 * n)):
+            v = rng.randrange(n)
+            if after[v] < n:
+                rows[v][rng.randrange(after[v], n)] = random_entry(rng)
+        order = list(range(n))
+        rng.shuffle(order)
+        return MinPlusMatrix([[rows[order[i]][order[j]] for j in range(n)] for i in range(n)]), blocks

@@ -130,6 +130,19 @@ def test_charpoly_tropdet_cap():
     assert charpoly_tropdet(identity(40), cap=1).coeffs == (E,) * 41
 
 
+def test_identity_2000_multiplies_its_loops_in_as_one_factor():
+    # 2000 loops of weight 0 are 2000 classes with the same (1, 0): one factor, (x ⊕ 0)^2000
+    # in closed form, whose every coefficient is 0
+    a = identity(2000)
+    assert charpoly_tropdet(a, cap=1).coeffs == (E,) * 2001
+    assert canonical_charpoly_tropdet(a).coeffs == (E,) * 2001
+    # half the loops at weight 1: c_j = max(0, j - 1000), which is already convex
+    b = MinPlusMatrix._from_scaled(tuple(((i, i % 2),) for i in range(2000)), 1)
+    expected = tuple(MinPlusValue(max(0, j - 1000)) for j in range(2001))
+    assert charpoly_tropdet(b, cap=1).coeffs == expected
+    assert canonical_charpoly_tropdet(b).coeffs == expected
+
+
 def test_pointwise_definition_random():
     # evaluate(charpoly(A), x) must equal tropdet(A ⊕ x⊗I) for concrete x
     rng = random.Random(20240820)

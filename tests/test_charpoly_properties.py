@@ -2,8 +2,10 @@
 
 The kernels in ``minplus.charpoly`` run on LCM-scaled ints; these tests
 compare them with oracles written on the public min-plus value and matrix
-operations, compare the parametric-assignment hull with the canonical
-form of the subset scan and with probing by from-scratch solves, and
+operations, compare the circuit-family program with ``verify``'s
+principal-minor scan and with one from-scratch solve per minor, compare
+the parametric-assignment hull with the canonical form of
+``charpoly_tropdet`` and with probing by from-scratch solves, and
 check metamorphic identities of both polynomials on ε-heavy matrices
 with mixed denominators.
 """
@@ -38,6 +40,8 @@ from minplus import (
     tropdet_bruteforce,
 )
 from minplus import charpoly as charpoly_module
+from minplus import network
+from minplus.matrix import _single_circuit
 
 from conftest import dense_ints, random_matrix
 
@@ -45,7 +49,7 @@ from conftest import dense_ints, random_matrix
 ENTRIES = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 13))
 # Few distinct small values: many principal minors tie, so many points (j, c_j) are collinear.
 TIED_ENTRIES = st.builds(Fraction, st.integers(-2, 2))
-# Magnitudes far past any fixed stand-in for ε: the subset scan's ε cost is derived from the entries.
+# Magnitudes far past any fixed stand-in for ε: the principal-minor scan's ε cost is derived from the entries.
 HUGE_ENTRIES = st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 13))
 
 
@@ -231,8 +235,66 @@ def test_tropdet_charpoly_matches_literal_definition(a):
     )
 )
 def test_subset_scan_matches_from_scratch_solves(a):
-    # the scan extends each parent minor's assignment by one augmentation, with ε at a finite cost
+    # the circuit-family program against one from-scratch assignment solve per principal minor
     assert charpoly_tropdet(a).coeffs == charpoly_tropdet_from_scratch(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        matrices(max_n=10),
+        matrices(max_n=10, entries=TIED_ENTRIES),
+        matrices(max_n=10, entries=HUGE_ENTRIES),
+        blanked_matrices(max_n=10),
+    )
+)
+def test_scan_oracle_matches_circuit_families_per_class(a):
+    # verify's oracle, one augmentation per principal minor, against the production program
+    # over the class's vertex subsets, on every class of the matrix
+    for succ in a._classes:
+        assert network._subset_scan(charpoly_module._class_rows(succ)) == charpoly_module._circuit_families(succ)
+
+
+def one_circuit(start, length, weight):
+    """A class that is one circuit through start..start+length-1, of total weight weight."""
+    return {start + i: ((start + (i + 1) % length, weight if i == 0 else 0),) for i in range(length)}
+
+
+def two_circuits(start, a, b, c):
+    """A class of two vertices on a loop (weight a) and a 2-circuit (weights b and c)."""
+    return {start: ((start, a), (start + 1, b)), start + 1: ((start, c),)}
+
+
+def one_at_a_time_product(classes):
+    """The classes' sequences multiplied in one class at a time."""
+    product = {0: 0}
+    for succ in classes:
+        circuit = _single_circuit(succ)
+        factor = {0: 0, circuit[0]: circuit[1]} if circuit else charpoly_module._circuit_families(succ)
+        r = {}
+        for i, x in product.items():
+            for l, y in factor.items():
+                if i + l not in r or x + y < r[i + l]:
+                    r[i + l] = x + y
+        product = r
+    return product
+
+
+# few (length, weight) pairs, so that identical circuits repeat; length 0 draws a class
+# that is not one circuit
+CLASS_KINDS = st.tuples(st.integers(0, 3), st.sampled_from((-4, -1, 0, 2, 7)), st.integers(-3, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(CLASS_KINDS, max_size=40))
+def test_grouped_circuit_product_matches_one_at_a_time(kinds):
+    classes, start = [], 0
+    for length, weight, other in kinds:
+        succ = two_circuits(start, other, weight, -other) if length == 0 else one_circuit(start, length, weight)
+        classes.append(succ)
+        start += len(succ)
+    grouped = charpoly_module._class_product(classes, charpoly_module._circuit_families)
+    assert grouped == one_at_a_time_product(classes)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,16 +1,19 @@
 """Differential tests of the per-class tropdet kernels.
 
 Every circuit lies inside one strongly connected class, so
-``charpoly_tropdet``, ``canonical_charpoly_tropdet`` and the family minima
-of ``verify`` run per class and merge the results. These tests keep the
-whole-matrix subset scan and the whole-graph family program as oracles, and
-compare on ε-heavy matrices, block upper-triangular matrices with shuffled
-labels, loops, single circuits and planted separated instances, of orders
-up to 12.
+``charpoly_tropdet`` (a circuit-family program), ``canonical_charpoly_tropdet``
+and the principal-minor oracle of ``verify`` run per class and merge the
+results. These tests keep the whole-matrix subset scan and the whole-graph
+family program as oracles, and compare on ε-heavy matrices, block
+upper-triangular matrices with shuffled labels, loops, single circuits and
+planted separated instances, of orders up to 12; and, at orders up to ~200,
+on blocks joined by forward edges, against the product of the blocks'
+polynomials by definition.
 """
 
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 from unittest import mock
 
 import pytest
@@ -28,7 +31,7 @@ from minplus import (
     network_from_matrix,
     plant_separated_instance,
 )
-from conftest import dense_ints
+from conftest import composed_matrix, dense_ints
 from minplus import charpoly as charpoly_module
 from minplus import network
 from minplus.matrix import _single_circuit
@@ -63,7 +66,7 @@ def whole_matrix_scan(a):
 
 def whole_graph_family_minima(a):
     """The least family weight of each total length, by one subset program
-    over all n vertices of the matrix's graph (see ``_component_family_minima``)."""
+    over all n vertices of the matrix's graph (see ``charpoly._circuit_families``)."""
     succ = a._cells
     paths = {1 << u: {u: 0} for u in range(a.n)}
     minima = {}
@@ -152,7 +155,10 @@ def probed_orders(a):
 @settings(max_examples=150, deadline=None)
 @given(INPUTS)
 def test_per_class_scan_matches_whole_matrix_scan(a):
-    assert charpoly_tropdet(a, cap=12) == whole_matrix_scan(a)
+    whole = whole_matrix_scan(a)
+    assert charpoly_tropdet(a, cap=12) == whole
+    # verify's oracle, the principal-minor scan of each class
+    assert network._minor_minima(a) == {j: c.rational for j, c in enumerate(whole.coeffs) if j and not c.is_epsilon}
 
 
 @settings(max_examples=150, deadline=None)
@@ -175,9 +181,10 @@ def test_per_class_hull_matches_canonical_whole_matrix_scan(a):
 @settings(max_examples=150, deadline=None)
 @given(INPUTS)
 def test_per_class_family_minima_match_whole_graph(a):
-    # the family minima read the matrix's own classes, the ones its network holds
+    # the production family program reads the matrix's own classes, the ones its network holds
     assert network_from_matrix(a)._matrix is a
-    assert network._family_minima(a) == whole_graph_family_minima(a)
+    coeffs = charpoly_tropdet(a, cap=12).coeffs
+    assert {j: c.rational for j, c in enumerate(coeffs) if j and not c.is_epsilon} == whole_graph_family_minima(a)
     assert a._class_list is not None
 
 
@@ -216,5 +223,53 @@ def test_a_long_cycle_needs_no_scan():
     total = sum(k % 7 - 2 for k in range(n))
     assert charpoly_tropdet(a, cap=1) == MinPlusPolynomial([0] + [None] * (n - 1) + [total])
     assert factorize(canonical_charpoly_tropdet(a)).factors == ((Fraction(total, n), n),)
-    assert network._family_minima(a) == {n: total}
+    assert network._minor_minima(a) == {n: total}
     assert network_from_matrix(a)._matrix is a and len(a._classes) == 1
+
+
+def charpoly_by_definition(block):
+    """c_j of a small block as its least j-by-j principal minor, each minor
+    the least sum over all its permutations: Fractions, None for ε."""
+    rows, n = dense_ints(block), block.n
+    coeffs = [Fraction(0)]
+    for j in range(1, n + 1):
+        sums = [
+            sum(cells)
+            for s in combinations(range(n), j)
+            for sigma in permutations(s)
+            if None not in (cells := [rows[i][k] for i, k in zip(s, sigma)])
+        ]
+        coeffs.append(Fraction(min(sums), block._d) if sums else None)
+    return coeffs
+
+
+def product_by_definition(blocks):
+    """The min-plus product of the blocks' polynomials, by definition."""
+    product = [Fraction(0)]
+    for block in blocks:
+        factor = charpoly_by_definition(block)
+        r = [None] * (len(product) + len(factor) - 1)
+        for i, x in enumerate(product):
+            for l, y in enumerate(factor):
+                if x is not None and y is not None and (r[i + l] is None or x + y < r[i + l]):
+                    r[i + l] = x + y
+        product = r
+    return MinPlusPolynomial(product)
+
+
+# orders up to ~200 (at most 56 blocks of order at most 6), checked against the blocks alone
+COMPOSED = composed_matrix(max_blocks=56, max_block_order=6)
+
+
+@settings(max_examples=50, deadline=None)
+@given(COMPOSED)
+def test_composed_tropdet_is_the_product_of_the_blocks_polynomials(composed):
+    a, blocks = composed
+    assert charpoly_tropdet(a) == product_by_definition(blocks)
+
+
+@settings(max_examples=50, deadline=None)
+@given(COMPOSED)
+def test_composed_canonical_tropdet_is_the_hull_of_the_blocks_product(composed):
+    a, blocks = composed
+    assert canonical_charpoly_tropdet(a) == canonicalize(product_by_definition(blocks))

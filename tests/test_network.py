@@ -42,7 +42,7 @@ from minplus import (
     verify_corollary_equivalence,
     verify_separated_factorization,
 )
-from conftest import dense_ints, random_matrix
+from conftest import EXAMPLE_7X7_TEXT, dense_ints, random_matrix
 
 EPS = None
 DATA = Path(__file__).resolve().parent / "data" / "cli"
@@ -398,10 +398,11 @@ def test_verify_matrix_subset_cap_stops_before_family_minima(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work done past the subset cap")
 
-    monkeypatch.setattr(network, "_family_minima", refuse)
+    # the production circuit-family program, verify's principal-minor oracle and the brute force
+    monkeypatch.setattr(charpoly_module, "_circuit_families", refuse)
+    monkeypatch.setattr(network, "_subset_scan", refuse)
     monkeypatch.setattr(network, "tropdet_bruteforce", refuse)
-    # the class of order 3 is under the cap, and is not scanned either: the cap is checked first
-    monkeypatch.setattr(charpoly_module, "_subset_scan", refuse)
+    # the class of order 3 is under the cap, and is taken by neither program: the cap is checked first
     a = _class_with_free_vertices(12, small=3)
     message = r"capped at order 11 \(got a strongly connected class of order 12\)"
     with pytest.raises(CapExceeded, match=message):
@@ -411,6 +412,29 @@ def test_verify_matrix_subset_cap_stops_before_family_minima(monkeypatch):
         network.verify_matrix(a, cap_perms=17, cap_subsets=11)
     with pytest.raises(CapExceeded, match="capped at order 16"):
         coefficient_check(_class_with_free_vertices(17))
+
+
+def test_coefficients_check_has_an_independent_oracle(monkeypatch, tmp_path, capsys, example7):
+    # the production circuit-family program, off by one at one j of the 7x7 example's one
+    # class: the principal-minor scan that verify checks it against does not follow it
+    families = charpoly_module._circuit_families
+
+    def off_by_one(succ):
+        minima = families(succ)
+        minima[3] += 1
+        return minima
+
+    monkeypatch.setattr(charpoly_module, "_circuit_families", off_by_one)
+    report = coefficient_check(example7)
+    assert not report.passed
+    assert [d["j"] for d in report.details if not d["match"]] == [3]
+    reports = {r.check: r for r in network.verify_matrix(example7, 9, 16)}
+    assert reports["coefficients"].to_json()["pass"] is False
+    path = tmp_path / "example.txt"
+    path.write_text(EXAMPLE_7X7_TEXT)
+    assert main(["verify", "--format", "json", str(path)]) == 4
+    coefficients = {r["check"]: r for r in json.loads(capsys.readouterr().out)["checks"]}["coefficients"]
+    assert coefficients["pass"] is False
 
 
 def test_verify_lists_no_circuits(monkeypatch, example7):

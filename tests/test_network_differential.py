@@ -2,10 +2,10 @@
 
 `networkx.simple_cycles` is an independent enumeration of elementary
 circuits: `enumerate_circuits` and the component-based `separated_check`
-are compared with it, and the subset dynamic program behind
-`coefficient_check` with the exhaustive family backtracking of
-`enumerate_extended_circuits`, on ε-heavy random digraphs with loops and
-on planted separated instances.
+are compared with it, and the circuit-family program of
+`charpoly_tropdet`, as it stands and as `coefficient_check` reports it,
+with the exhaustive family backtracking of `enumerate_extended_circuits`,
+on ε-heavy random digraphs with loops and on planted separated instances.
 """
 
 import random
@@ -20,6 +20,7 @@ from minplus import (
     EPSILON,
     MinPlusMatrix,
     MinPlusValue,
+    charpoly_tropdet,
     coefficient_check,
     enumerate_circuits,
     enumerate_extended_circuits,
@@ -81,7 +82,11 @@ def test_separation_matches_networkx():
 def test_family_minima_match_backtracking():
     for a in instances(seed=20261020, count=150, max_n=7):
         net = network_from_matrix(a)
-        for detail in coefficient_check(a).details:
-            families = enumerate_extended_circuits(net, detail["j"])
+        coeffs = charpoly_tropdet(a).coeffs
+        details = coefficient_check(a).details
+        assert [d["j"] for d in details] == list(range(1, a.n + 1))
+        for j, detail in enumerate(details, start=1):
+            families = enumerate_extended_circuits(net, j)
             expected = MinPlusValue(min(f.weight for f in families)) if families else EPSILON
+            assert coeffs[j] == expected
             assert detail["circuit_minimum"] == expected.to_json()
