@@ -18,11 +18,12 @@ graph, and a principal minor is finite only through a family of disjoint
 circuits that covers its indices, so tropdet(A ⊕ x⊗I) is the ⊗-product of
 the classes' own polynomials, times x for each vertex on no circuit
 (Frobenius normal form: Butkovič, Max-linear Systems, 2010; Akian, Bapat &
-Gaubert, Handbook of Linear Algebra, ch. 25, 2006). Each kernel here runs
-per class (``MinPlusMatrix._classes``) and merges the results: a class that
-is one circuit of length l and weight W contributes x^l ⊕ W in closed form,
-and any other class takes the circuit-family program or the probes on its
-own edges and rows.
+Gaubert, Handbook of Linear Algebra, ch. 25, 2006). So ``charpoly_tropdet``
+and ``canonical_charpoly_tropdet`` run per class (``MinPlusMatrix._classes``)
+and merge the results: a class that is one circuit of length l and weight W
+contributes x^l ⊕ W in closed form, and any other class takes the program
+or the probes on its own cells, as Tarjan numbers them. ``charpoly_flv``,
+``tropdet_bruteforce`` and ``tropdet_assignment`` run on the whole matrix.
 
 Every root of the first polynomial is fixed by the lower hull of the
 points (j, c_j) alone, that is by the function f(x) = tropdet(A ⊕ x⊗I) =
@@ -237,28 +238,20 @@ def _check_subset_cap(n: int, cap: int) -> None:
         raise CapExceeded(f"principal-minor enumeration is capped at order {cap} (got {n})")
 
 
-def _class_rows(succ: _Component, scale: int = 1) -> list[list[int | None]]:
-    """A class's own rows, dense, its vertices renumbered 0..k-1 in any
-    order (a principal minor's determinant does not depend on it): each
-    internal weight times scale, None for ε."""
-    pos = {v: i for i, v in enumerate(succ)}
-    return _dense([[(pos[head], scale * w) for head, w in pairs] for pairs in succ.values()])
-
-
 def _class_product(classes: list[_Component], kernel) -> dict[int, int]:
     """The min-plus product over the classes of their own sequences, each
-    held as {j: c_j} over its finite entries: kernel(class) for a class
-    that is not one circuit. ε is skipped: r_j = min over i + l = j of
+    held as {j: c_j} over its finite entries: kernel(cells) on the cells of
+    a class that is not one circuit. ε is skipped: r_j = min over i + l = j of
     p_i + q_l. The classes that are one circuit of length l and weight W,
     {0: 0, l: W} each, come in one factor per (l, W): m copies multiply to
     {i·l: i·W for i in 0..m} exactly, so identical circuits cost one
     product, not m."""
     copies: dict[tuple[int, int], int] = {}
     factors = []
-    for succ in classes:
-        circuit = _single_circuit(succ)
+    for _, cells in classes:
+        circuit = _single_circuit(cells)
         if circuit is None:
-            factors.append(kernel(succ))
+            factors.append(kernel(cells))
         else:
             copies[circuit] = copies.get(circuit, 0) + 1
     factors += [{i * l: i * w for i in range(m + 1)} for (l, w), m in copies.items()]
@@ -287,7 +280,7 @@ def charpoly_tropdet(a: MinPlusMatrix, cap: int = SUBSET_CAP) -> MinPlusPolynomi
     before any class is.
     """
     _check_int(cap, "cap")
-    scanned = [len(succ) for succ in a._classes if _single_circuit(succ) is None]
+    scanned = [len(cells) for _, cells in a._classes if _single_circuit(cells) is None]
     if scanned and max(scanned) > cap:
         raise CapExceeded(
             f"principal-minor enumeration is capped at order {cap} "
@@ -297,10 +290,10 @@ def charpoly_tropdet(a: MinPlusMatrix, cap: int = SUBSET_CAP) -> MinPlusPolynomi
     return MinPlusPolynomial._from_scaled(tuple(coeffs.get(j) for j in range(a.n + 1)), a._d)
 
 
-def _circuit_families(succ: _Component) -> dict[int, int]:
+def _circuit_families(cells) -> dict[int, int]:
     """{j: least weight} of the vertex-disjoint circuit families inside one
-    class, j = 0 included, by one dynamic program over its vertex subsets S
-    (bitmasks, bit v for the class's v-th vertex, in any order).
+    class, given as its cells, j = 0 included, by one dynamic program over
+    its vertex subsets S (bitmasks, bit v for the class's vertex v).
 
     A principal minor on S is finite only through a permutation of S on
     finite cells, whose cycles are disjoint circuits covering S, and every
@@ -323,13 +316,11 @@ def _circuit_families(succ: _Component) -> dict[int, int]:
     of k vertices and m internal edges. Per lowest vertex, each vertex's
     edges to vertices above it and the edges back to it are listed once.
     """
-    k = len(succ)
-    pos = {v: i for i, v in enumerate(succ)}
-    edges = [[(pos[h], w) for h, w in pairs] for pairs in succ.values()]
+    k = len(cells)
     # ups[low][v]: v's edges (u, bit of u, weight) to the vertices u > low
-    ups = [[[(u, 1 << u, w) for u, w in out if u > low] for out in edges] for low in range(k)]
+    ups = [[[(u, 1 << u, w) for u, w in out if u > low] for out in cells] for low in range(k)]
     backs: list[dict[int, int]] = [{} for _ in range(k)]  # backs[low][v]: the edge v -> low
-    for v, out in enumerate(edges):
+    for v, out in enumerate(cells):
         for u, w in out:
             backs[u][v] = w
     paths: list[dict[int, int] | None] = [None] * (1 << k)
@@ -423,10 +414,10 @@ def canonical_charpoly_tropdet(a: MinPlusMatrix) -> MinPlusPolynomial:
     return canonicalize(MinPlusPolynomial._from_scaled(coeffs, a._d))
 
 
-def _class_hull(succ: _Component) -> dict[int, int]:
+def _class_hull(cells) -> dict[int, int]:
     """{j: c_j} at points on the lower hull of one class's polynomial, its
     corners among them, from at most k probes of one assignment on the
-    class's k-by-k rows.
+    class's k-by-k rows, given as its cells.
 
     Eisner–Severance probing of f(x) = tropdet(C ⊕ x⊗I) (see the module
     docstring), in units of L·D with L = lcm(1..k): every probe point
@@ -446,9 +437,9 @@ def _class_hull(succ: _Component) -> dict[int, int]:
     and every point outside [i, l] lies on or above that chord, because i
     and l are on the lower hull.
     """
-    k = len(succ)
+    k = len(cells)
     unit = lcm(*range(1, k + 1))
-    rows = _class_rows(succ, unit)
+    rows = _dense([[(j, unit * w) for j, w in row] for row in cells])
     diagonal = [row[i] for i, row in enumerate(rows)]
     u, v, match = [0] * (k + 1), [0] * (k + 1), [0] * (k + 1)
 
@@ -458,7 +449,7 @@ def _class_hull(succ: _Component) -> dict[int, int]:
         return cost, k - m, (cost - m * p) // unit
 
     # past X the lines' x-terms outweigh any coefficient gap, |c_j - c_i| <= 2k·max|c|
-    reach = 2 * k * max(abs(w) for pairs in succ.values() for _, w in pairs) + 1
+    reach = 2 * k * max(abs(w) for row in cells for _, w in row) + 1
     _, r, c_r = probe(reach * unit)
     points = {0: 0, r: c_r}
     pending = [(0, r)] if r > 1 else []

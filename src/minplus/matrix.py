@@ -16,7 +16,9 @@ that reads dense rows builds its own (``_dense``).
 The finite cells also give the strongly connected classes of the
 matrix's graph (``_classes``): one Tarjan pass, made on first use and
 kept with the matrix, which the tropdet kernels and the graph kernels of
-``network`` share.
+``network`` share. Tarjan alone numbers a class, as (labels, cells): its
+vertices in increasing order, and its own finite cells with each head
+numbered by its place in labels, which every kernel reads as they are.
 
 The text parser reads a line, ended by "\n", "\r\n" or "\r" only, in
 one of two ways. In a matrix of order n over 32, a row after the first
@@ -32,7 +34,7 @@ with Python work in its finite cells alone.
 
 from __future__ import annotations
 
-from itertools import chain, compress
+from itertools import chain, compress, count
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -63,8 +65,8 @@ __all__ = [
     "load_matrix",
 ]
 
-# a strongly connected class: each vertex's (head, weight times D) pairs inside it
-_Component = dict[int, tuple[tuple[int, int], ...]]
+# a strongly connected class, as Tarjan numbers it (_strongly_connected_components)
+_Component = tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]
 
 
 class MinPlusMatrix:
@@ -102,11 +104,9 @@ class MinPlusMatrix:
 
     @property
     def _classes(self) -> list[_Component]:
-        """Each strongly connected class of the matrix's graph that holds a
-        circuit, as its vertices' internal (column, weight times D) pairs
-        (``_strongly_connected_components``): one Tarjan pass over the
-        finite cells on first use, which every kernel that reads the
-        classes shares."""
+        """The strongly connected classes that hold a circuit, as Tarjan
+        numbers them (``_strongly_connected_components``): one pass over
+        the finite cells on first use, shared by every kernel that reads them."""
         if self._class_list is None:
             self._class_list = _strongly_connected_components(self._cells)
         return self._class_list
@@ -245,33 +245,38 @@ def _int_product(rows, succ) -> list[list[int | None]]:
     return product
 
 
-def _strongly_connected_components(succ) -> list[_Component]:
-    """Tarjan's algorithm, iterative, on a graph given as succ[v], the
-    (head, w) pairs of each vertex v: a dict, or a sequence over vertices
-    0..len - 1, every head a vertex. Each component that holds a circuit
-    comes out as {v: the pairs of v whose head is in the component}."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
+def _strongly_connected_components(cells) -> list[_Component]:
+    """Tarjan's algorithm, iterative, on a graph given as its finite cells:
+    cells[v] the (head, w) pairs of vertex v in head order, vertices 0..n-1.
+    Each component that holds a circuit comes out as (labels, cells): its
+    vertices in increasing order, and per vertex labels[i] its pairs whose
+    head is in the component, each head given as its place in labels; the
+    whole graph, when it is one component, as (0..n-1, the cells as they are)."""
+    n = len(cells)
+    index = [-1] * n  # each vertex's visit number, -1 until visited
+    low = [0] * n
+    at = [-1] * n  # each vertex's place on the stack, -1 when off it
+    place = [0] * n  # each vertex's place in its component's labels
     stack: list[int] = []
     components: list[_Component] = []
-    for root in succ if isinstance(succ, dict) else range(len(succ)):
-        if root in index:
+    visits = count()
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = len(index)
+        work = [(root, iter(cells[root]))]
+        index[root] = low[root] = next(visits)
+        at[root] = len(stack)
         stack.append(root)
-        on_stack.add(root)
         while work:
             v, edge_iter = work[-1]
             for head, _ in edge_iter:
-                if head not in index:
-                    index[head] = low[head] = len(index)
+                if index[head] < 0:
+                    index[head] = low[head] = next(visits)
+                    at[head] = len(stack)
                     stack.append(head)
-                    on_stack.add(head)
-                    work.append((head, iter(succ[head])))
+                    work.append((head, iter(cells[head])))
                     break
-                if head in on_stack and index[head] < low[v]:
+                if at[head] >= 0 and index[head] < low[v]:
                     low[v] = index[head]
             else:
                 work.pop()
@@ -280,22 +285,26 @@ def _strongly_connected_components(succ) -> list[_Component]:
                     if low[v] < low[parent]:
                         low[parent] = low[v]
                 if low[v] == index[v]:
-                    members = {v}
-                    while (w := stack.pop()) != v:
-                        members.add(w)
-                    on_stack -= members
-                    if len(members) == len(succ):  # the whole graph: every pair is inside
-                        component = {u: tuple(succ[u]) for u in members}
+                    members = stack[at[v] :]
+                    del stack[at[v] :]
+                    if len(members) == n:  # the whole graph: every pair is inside
+                        labels, inner = tuple(range(n)), cells
                     else:
-                        component = {u: tuple([p for p in succ[u] if p[0] in members]) for u in members}
-                    if len(members) > 1 or component[v]:
-                        components.append(component)
+                        # a member's heads are in it (on the stack) or in one found before (off it)
+                        labels = tuple(sorted(members))
+                        for i, u in enumerate(labels):
+                            place[u] = i
+                        inner = tuple([tuple([(place[h], w) for h, w in cells[u] if at[h] >= 0]) for u in labels])
+                    for u in members:
+                        at[u] = -1
+                    if len(members) > 1 or inner[0]:
+                        components.append((labels, inner))
     return components
 
 
-def _single_circuit(component: _Component) -> tuple[int, int] | None:
+def _single_circuit(cells) -> tuple[int, int] | None:
     """(length, weight) of a strongly connected class that is one circuit,
-    None for any other class that holds a circuit.
+    given as its cells, None for any other class that holds a circuit.
 
     A class is one circuit iff it has as many internal edges as vertices,
     i.e. every vertex has one internal out-edge: k vertices and k internal
@@ -303,8 +312,8 @@ def _single_circuit(component: _Component) -> tuple[int, int] | None:
     (v, u) and (v, u') lies on two circuits, each closed by a path back to
     v inside the class.
     """
-    if all(len(pairs) == 1 for pairs in component.values()):
-        return len(component), sum(w for [(_, w)] in component.values())
+    if all(len(pairs) == 1 for pairs in cells):
+        return len(cells), sum(w for [(_, w)] in cells)
     return None
 
 

@@ -16,8 +16,10 @@ the weights' reduced denominators) and its strongly connected classes
 that hold a circuit (``MinPlusMatrix._classes``, one Tarjan pass per
 matrix). A network built from a matrix holds that matrix itself; one
 built from edges builds its matrix once. Every graph kernel here reads
-the classes: Johnson's circuit search, Karp's minimum cycle mean, the
-principal-minor oracle and the separation checks. The ``verify`` checks
+the classes' cells as Tarjan numbers them, each vertex by its place in
+the class's labels: Johnson's circuit search (which maps each circuit
+back through the labels), Karp's minimum cycle mean, the principal-minor
+oracle and the separation checks. The ``verify`` checks
 take the matrix and build no network, so the tropdet kernels and the
 graph kernels make one class pass per matrix between them.
 Fractions appear only in ``edges``, in each ``Circuit`` and in results.
@@ -35,14 +37,13 @@ from fractions import Fraction
 from .charpoly import (
     _augment,
     _class_product,
-    _class_rows,
     charpoly_flv,
     charpoly_tropdet,
     tropdet_assignment,
     tropdet_bruteforce,
 )
 from .errors import CapExceeded
-from .matrix import MinPlusMatrix, _Component, _single_circuit, _strongly_connected_components
+from .matrix import MinPlusMatrix, _dense, _single_circuit, _strongly_connected_components
 from .polynomial import Factorization, MinPlusPolynomial, canonicalize, factorize
 from .semiring import MinPlusValue, _check_int, _common_denominator, _is_int, _ratio, _rational, _scaled
 
@@ -231,26 +232,26 @@ def matrix_from_network(net: Network) -> MinPlusMatrix:
     return net._matrix
 
 
-def _circuits_through(start: int, succ: _Component):
+def _circuits_through(cells):
     """Johnson's blocking search, on an explicit stack: (path, int weight)
-    of every elementary circuit through start inside succ, start first;
-    path is the search's own vertex list, to be read before resuming."""
-    blocked = {start}
+    of every elementary circuit through vertex 0 of a class's cells, 0
+    first; path is the search's own vertex list, to be read before resuming."""
+    blocked = {0}
     block_map: dict[int, set[int]] = defaultdict(set)
-    path = [start]
+    path = [0]
     sums = [0]  # sums[i]: the weight of the path's first i edges
-    work = [iter(succ[start])]
+    work = [iter(cells[0])]
     found = [False]
     while work:
         for head, weight in work[-1]:
-            if head == start:
+            if head == 0:
                 yield path, sums[-1] + weight
                 found[-1] = True
             elif head not in blocked:
                 path.append(head)
                 sums.append(sums[-1] + weight)
                 blocked.add(head)
-                work.append(iter(succ[head]))
+                work.append(iter(cells[head]))
                 found.append(False)
                 break
         else:
@@ -267,7 +268,7 @@ def _circuits_through(start: int, succ: _Component):
                 if found:
                     found[-1] = True
             else:
-                for head, _ in succ[v]:
+                for head, _ in cells[v]:
                     block_map[head].add(v)
 
 
@@ -275,49 +276,50 @@ def enumerate_circuits(net: Network, cap: int = CIRCUIT_CAP) -> list[Circuit]:
     """All elementary circuits, by Johnson's algorithm.
 
     Every circuit lies inside one strongly connected component, so the
-    search starts from the network's components. Each component is searched
-    from its smallest vertex, which is then removed, and the components of
-    what remains are searched in turn: every circuit is found exactly once,
-    from its smallest vertex, so it comes out already in canonical
-    rotation. Results are sorted by (length, vertex sequence).
+    search starts from the network's components, as Tarjan numbers them.
+    Each is searched from its vertex 0, its smallest, which is then removed,
+    and the components of what remains are searched in turn, their labels
+    composed with its own: every circuit is found exactly once, from its
+    smallest vertex, so it comes out already in canonical rotation. Results
+    are sorted by (length, vertex sequence).
     """
     _check_int(cap, "cap")
     d = net._matrix._d
     circuits: list[Circuit] = []
     pending = list(net._matrix._classes)
     while pending:
-        succ = pending.pop()
-        start = min(succ)
-        for cycle, total in _circuits_through(start, succ):
-            vertices = tuple([v + 1 for v in cycle])  # canonical, distinct ints: nothing to check
+        labels, cells = pending.pop()
+        for cycle, total in _circuits_through(cells):
+            vertices = tuple([labels[v] + 1 for v in cycle])  # canonical, distinct ints: nothing to check
             circuits.append(_unchecked(Circuit, vertices=vertices, weight=Fraction(total, d)))
             if len(circuits) > cap:
                 raise CapExceeded(f"circuit enumeration exceeded the cap of {cap}", partial_count=len(circuits))
-        residue = {v: tuple([p for p in pairs if p[0] != start]) for v, pairs in succ.items() if v != start}
-        pending.extend(_strongly_connected_components(residue))
+        residue = tuple([tuple([(h - 1, w) for h, w in row if h]) for row in cells[1:]])  # vertex 0 goes
+        for sub, sub_cells in _strongly_connected_components(residue):
+            pending.append((tuple([labels[v + 1] for v in sub]), sub_cells))
 
     circuits.sort(key=lambda c: (c.length, c.vertices))
     return circuits
 
 
-def _karp_component(succ: _Component, d: int) -> Fraction:
+def _karp_component(cells, d: int) -> Fraction:
     """Minimum cycle mean of one strongly connected component, given as
-    its vertices' internal (head, weight times d) pairs.
+    its cells: per vertex, its internal (head, weight times d) pairs.
 
     A component that is one circuit (``_single_circuit``) has its weight
     over its length as its mean; any other takes Karp's walk table
     (_karp_walks).
     """
-    circuit = _single_circuit(succ)
+    circuit = _single_circuit(cells)
     if circuit is not None:
         return Fraction(circuit[1], circuit[0] * d)
-    return _karp_walks(succ, d)
+    return _karp_walks(cells, d)
 
 
-def _karp_walks(succ: _Component, d: int) -> Fraction:
-    """Minimum cycle mean of one strongly connected component, by Karp's
-    dynamic program over exact-length walks from a fixed source: with
-    D_k(v) the minimum weight of a k-edge walk source -> v (None when no
+def _karp_walks(cells, d: int) -> Fraction:
+    """Minimum cycle mean of one strongly connected component, given as its
+    cells, by Karp's dynamic program over exact-length walks from vertex 0:
+    with D_k(v) the minimum weight of a k-edge walk 0 -> v (None when no
     such walk exists),
 
         lambda = min over v with D_n(v) finite of
@@ -327,16 +329,14 @@ def _karp_walks(succ: _Component, d: int) -> Fraction:
     compared cross-multiplied (the denominators n - k are positive), so
     the one Fraction built is the result.
     """
-    order = sorted(succ)
-    pos = {v: i for i, v in enumerate(order)}
-    n = len(order)
+    n = len(cells)
     table: list[list[int | None]] = [[None] * n for _ in range(n + 1)]
     table[0][0] = 0
-    local_edges = [(pos[t], pos[h], w) for t in order for h, w in succ[t]]
+    edges = [(t, h, w) for t, row in enumerate(cells) for h, w in row]
     for k in range(1, n + 1):
         prev = table[k - 1]
         cur = table[k]
-        for t, h, w in local_edges:
+        for t, h, w in edges:
             dt = prev[t]
             if dt is None:
                 continue
@@ -369,7 +369,7 @@ def min_cycle_mean(net: Network) -> MinPlusValue:
     strongly connected component, since every circuit lives inside one.
     """
     a = net._matrix
-    return MinPlusValue(min((_karp_component(succ, a._d) for succ in a._classes), default=None))
+    return MinPlusValue(min((_karp_component(cells, a._d) for _, cells in a._classes), default=None))
 
 
 def enumerate_extended_circuits(
@@ -415,9 +415,9 @@ def _minor_minima(a: MinPlusMatrix) -> dict[int, Fraction]:
 
     The oracle of the coefficients check: each component that is not one
     circuit takes the principal-minor scan of ``_subset_scan`` on its own
-    rows, and the components' minima are merged as in ``charpoly_tropdet``
-    (``_class_product``), whose circuit-family program it checks."""
-    minima = _class_product(a._classes, lambda succ: _subset_scan(_class_rows(succ)))
+    cells made dense, and the components' minima are merged as in
+    ``charpoly_tropdet`` (``_class_product``), whose program it checks."""
+    minima = _class_product(a._classes, lambda cells: _subset_scan(_dense(cells)))
     return {j: Fraction(total, a._d) for j, total in minima.items() if j}
 
 
@@ -485,7 +485,7 @@ def coefficient_check(a: MinPlusMatrix) -> Report:
 
 
 def _is_separated(a: MinPlusMatrix) -> bool:
-    return all(_single_circuit(succ) is not None for succ in a._classes)
+    return all(_single_circuit(cells) is not None for _, cells in a._classes)
 
 
 def separated_check(net: Network) -> bool:
@@ -504,8 +504,8 @@ def _homogeneous_groups(a: MinPlusMatrix) -> list[tuple[Fraction, int]]:
     (average, total length), ascending. Each class is one circuit, made of
     exactly its internal edges (weights times D)."""
     totals: dict[Fraction, int] = defaultdict(int)
-    for succ in a._classes:
-        totals[_karp_component(succ, a._d)] += len(succ)
+    for _, cells in a._classes:
+        totals[_karp_component(cells, a._d)] += len(cells)
     return sorted(totals.items())
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -37,6 +38,33 @@ def dense_ints(a: MinPlusMatrix) -> tuple[tuple[int | None, ...], ...]:
     """a's entries times its D as ints, None for ε, read off ``a.rows``:
     the dense rows that the test oracles work on."""
     return tuple(tuple(None if x.is_epsilon else int(x.rational * a._d) for x in row) for row in a.rows)
+
+
+def _cyclic_arrangements(subset):
+    """All distinct cyclic orders of a vertex subset, smallest vertex first."""
+    first, *rest = sorted(subset)
+    if not rest:
+        yield (first,)
+        return
+    for tail in permutations(rest):
+        yield (first,) + tail
+
+
+def bruteforce_circuits(net):
+    """Independent oracle of a network's circuits: every cyclic vertex
+    arrangement tested against the edge set, as (vertices, weight) sorted
+    by (length, vertices)."""
+    weight_of = {(t, h): w for t, h, w in net.edges}
+    found = []
+    vertices = range(1, net.m + 1)
+    for size in range(1, net.m + 1):
+        for subset in combinations(vertices, size):
+            for arrangement in _cyclic_arrangements(subset):
+                pairs = [(arrangement[i], arrangement[(i + 1) % size]) for i in range(size)]
+                if all(pair in weight_of for pair in pairs):
+                    total = sum((weight_of[p] for p in pairs), Fraction(0))
+                    found.append((arrangement, total))
+    return sorted(found, key=lambda item: (len(item[0]), item[0]))
 
 
 def random_entry(rng, allow_fractions=True):

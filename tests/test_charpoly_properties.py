@@ -33,7 +33,6 @@ from minplus import (
     epsilon_matrix,
     mat_oplus,
     mat_otimes,
-    otimes,
     scalar_otimes,
     trace,
     tropdet_assignment,
@@ -41,7 +40,7 @@ from minplus import (
 )
 from minplus import charpoly as charpoly_module
 from minplus import network
-from minplus.matrix import _single_circuit
+from minplus.matrix import _dense, _single_circuit
 
 from conftest import dense_ints, random_matrix
 
@@ -83,14 +82,21 @@ def flv_by_definition(a):
 
 
 def tropdet_by_definition(a, indices):
-    """min over permutations σ of the subset of ⊗_i a[i, σ(i)], on min-plus values."""
-    best = EPSILON
+    """min over permutations σ of the subset of ⊗_i a[i, σ(i)]: every permutation's
+    sum of a's entries times D (``dense_ints``), cut at its first ε, and the least
+    sum divided by D once."""
+    rows = dense_ints(a)
+    best = None
     for sigma in permutations(indices):
-        total = E
+        total = 0
         for i, j in zip(indices, sigma):
-            total = otimes(total, a[i, j])
-        best = min(best, total)
-    return best
+            if rows[i][j] is None:
+                break
+            total += rows[i][j]
+        else:
+            if best is None or total < best:
+                best = total
+    return EPSILON if best is None else MinPlusValue(Fraction(best, a._d))
 
 
 def tropdet_charpoly_by_definition(a):
@@ -251,26 +257,27 @@ def test_subset_scan_matches_from_scratch_solves(a):
 def test_scan_oracle_matches_circuit_families_per_class(a):
     # verify's oracle, one augmentation per principal minor, against the production program
     # over the class's vertex subsets, on every class of the matrix
-    for succ in a._classes:
-        assert network._subset_scan(charpoly_module._class_rows(succ)) == charpoly_module._circuit_families(succ)
+    for _, cells in a._classes:
+        assert network._subset_scan(_dense(cells)) == charpoly_module._circuit_families(cells)
 
 
 def one_circuit(start, length, weight):
     """A class that is one circuit through start..start+length-1, of total weight weight."""
-    return {start + i: ((start + (i + 1) % length, weight if i == 0 else 0),) for i in range(length)}
+    cells = tuple((((i + 1) % length, weight if i == 0 else 0),) for i in range(length))
+    return tuple(range(start, start + length)), cells
 
 
 def two_circuits(start, a, b, c):
     """A class of two vertices on a loop (weight a) and a 2-circuit (weights b and c)."""
-    return {start: ((start, a), (start + 1, b)), start + 1: ((start, c),)}
+    return (start, start + 1), (((0, a), (1, b)), ((0, c),))
 
 
 def one_at_a_time_product(classes):
     """The classes' sequences multiplied in one class at a time."""
     product = {0: 0}
-    for succ in classes:
-        circuit = _single_circuit(succ)
-        factor = {0: 0, circuit[0]: circuit[1]} if circuit else charpoly_module._circuit_families(succ)
+    for _, cells in classes:
+        circuit = _single_circuit(cells)
+        factor = {0: 0, circuit[0]: circuit[1]} if circuit else charpoly_module._circuit_families(cells)
         r = {}
         for i, x in product.items():
             for l, y in factor.items():
@@ -292,7 +299,7 @@ def test_grouped_circuit_product_matches_one_at_a_time(kinds):
     for length, weight, other in kinds:
         succ = two_circuits(start, other, weight, -other) if length == 0 else one_circuit(start, length, weight)
         classes.append(succ)
-        start += len(succ)
+        start += len(succ[0])
     grouped = charpoly_module._class_product(classes, charpoly_module._circuit_families)
     assert grouped == one_at_a_time_product(classes)
 

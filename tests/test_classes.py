@@ -8,10 +8,12 @@ family program as oracles, and compare on ε-heavy matrices, block
 upper-triangular matrices with shuffled labels, loops, single circuits and
 planted separated instances, of orders up to 12; and, at orders up to ~200,
 on blocks joined by forward edges, against the product of the blocks'
-polynomials by definition.
+polynomials by definition, and Karp, Johnson's search and the separation
+check against the blocks' circuits by brute force.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 from unittest import mock
@@ -24,14 +26,18 @@ from hypothesis import given, settings, strategies as st
 from minplus import (
     MinPlusMatrix,
     MinPlusPolynomial,
+    MinPlusValue,
     canonical_charpoly_tropdet,
     canonicalize,
     charpoly_tropdet,
+    enumerate_circuits,
     factorize,
+    min_cycle_mean,
     network_from_matrix,
     plant_separated_instance,
+    separated_check,
 )
-from conftest import composed_matrix, dense_ints
+from conftest import bruteforce_circuits, composed_matrix, dense_ints
 from minplus import charpoly as charpoly_module
 from minplus import network
 from minplus.matrix import _single_circuit
@@ -149,7 +155,7 @@ INPUTS = st.one_of(sparse_matrices(), block_triangular(), planted())
 
 def probed_orders(a):
     """The orders of the classes whose hull is probed: those not one circuit."""
-    return [len(succ) for succ in a._classes if _single_circuit(succ) is None]
+    return [len(cells) for _, cells in a._classes if _single_circuit(cells) is None]
 
 
 @settings(max_examples=150, deadline=None)
@@ -205,8 +211,8 @@ def test_every_class_mean_is_a_root_of_the_canonical_polynomial():
             ]
         )
         roots = {root.rational for root, _ in factorize(whole_matrix_scan(a)).factors}
-        for succ in a._classes:
-            assert network._karp_component(succ, a._d) in roots
+        for _, cells in a._classes:
+            assert network._karp_component(cells, a._d) in roots
             classes += 1
     assert classes > 200
 
@@ -273,3 +279,20 @@ def test_composed_tropdet_is_the_product_of_the_blocks_polynomials(composed):
 def test_composed_canonical_tropdet_is_the_hull_of_the_blocks_product(composed):
     a, blocks = composed
     assert canonical_charpoly_tropdet(a) == canonicalize(product_by_definition(blocks))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(COMPOSED, composed_matrix(max_blocks=12, max_block_order=3)))
+def test_composed_karp_and_johnson_read_the_blocks_circuits(composed):
+    # Karp, Johnson's search and the separation check at orders up to ~200, against the
+    # circuits of the blocks alone, found by brute force: forward edges add no circuit
+    a, blocks = composed
+    found = [bruteforce_circuits(network_from_matrix(block)) for block in blocks]
+    net = network_from_matrix(a)
+    means = [weight / len(cycle) for circuits in found for cycle, weight in circuits]
+    assert min_cycle_mean(net) == MinPlusValue(min(means, default=None))
+    expected = Counter((len(cycle), weight) for circuits in found for cycle, weight in circuits)
+    assert Counter((c.length, c.weight) for c in enumerate_circuits(net)) == expected
+    disjoint = [len({v for cycle, _ in circuits for v in cycle}) == sum(len(cycle) for cycle, _ in circuits)
+                for circuits in found]
+    assert separated_check(net) is all(disjoint)

@@ -4,7 +4,7 @@ import random
 import re
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -42,7 +42,7 @@ from minplus import (
     verify_corollary_equivalence,
     verify_separated_factorization,
 )
-from conftest import EXAMPLE_7X7_TEXT, dense_ints, random_matrix
+from conftest import EXAMPLE_7X7_TEXT, bruteforce_circuits, dense_ints, random_matrix
 
 EPS = None
 DATA = Path(__file__).resolve().parent / "data" / "cli"
@@ -178,8 +178,9 @@ def test_network_equality_hash_and_repr_see_only_m_and_edges():
     assert dense_ints(back) == ((None, 1), (6, None))
     unordered = Network(m=3, edges=((3, 1, 2), (1, 3, Fraction(1, 3)), (1, 2, 5), (3, 3, 0)))
     assert (unordered._matrix._cells, unordered._matrix._d) == ((((1, 15), (2, 1)), (), ((0, 6), (2, 0))), 3)
-    # vertices 1 and 3 form the one class that holds a circuit; the edge 1 -> 2 leaves it
-    assert unordered._matrix._classes == [{0: ((2, 1),), 2: ((0, 6), (2, 0))}]
+    # vertices 1 and 3 form the one class that holds a circuit, labelled 0 and 2 and
+    # numbered 0 and 1 inside it; the edge 1 -> 2 leaves it
+    assert unordered._matrix._classes == [((0, 2), (((1, 1),), ((0, 6), (1, 0))))]
     # equal networks may hold different matrix objects: the matrix takes no part in == or hash
     again = Network(m=2, edges=net.edges)
     assert again == net and hash(again) == hash(net) and again._matrix is not net._matrix
@@ -211,40 +212,13 @@ def test_enumerate_circuits_cap():
     assert err.value.partial_count == 6
 
 
-def _cyclic_arrangements(subset):
-    """All distinct cyclic orders of a vertex subset, smallest vertex first."""
-    first, *rest = sorted(subset)
-    if not rest:
-        yield (first,)
-        return
-    for tail in permutations(rest):
-        yield (first,) + tail
-
-
-def _bruteforce_circuits(net: Network):
-    """Independent oracle: test every cyclic vertex arrangement against the edge set."""
-    weight_of = {(t, h): w for t, h, w in net.edges}
-    found = []
-    vertices = range(1, net.m + 1)
-    for size in range(1, net.m + 1):
-        for subset in combinations(vertices, size):
-            for arrangement in _cyclic_arrangements(subset):
-                pairs = [
-                    (arrangement[i], arrangement[(i + 1) % size]) for i in range(size)
-                ]
-                if all(pair in weight_of for pair in pairs):
-                    total = sum((weight_of[p] for p in pairs), Fraction(0))
-                    found.append((arrangement, total))
-    return sorted(found, key=lambda item: (len(item[0]), item[0]))
-
-
 def test_enumerate_circuits_against_bruteforce():
     rng = random.Random(20240823)
     for _ in range(25):
         n = rng.randint(1, 6)
         net = network_from_matrix(random_matrix(rng, n, density=0.5))
         enumerated = [(c.vertices, c.weight) for c in enumerate_circuits(net)]
-        assert enumerated == _bruteforce_circuits(net)
+        assert enumerated == bruteforce_circuits(net)
 
 
 def test_min_cycle_mean_golden(example7):
@@ -284,12 +258,14 @@ def test_single_circuit_component_mean_matches_the_walk_table():
         assert network_from_matrix(shifted)._matrix is shifted
         expected = []
         for cycle, weights in planted:
-            heads = cycle[1:] + cycle[:1]
-            expected.append({t - 1: ((h - 1, (w + shift) * shifted._d),) for t, h, w in zip(cycle, heads, weights)})
-        assert sorted(shifted._classes, key=min) == sorted(expected, key=min)
-        for succ in shifted._classes:
-            single += all(len(pairs) == 1 for pairs in succ.values())
-            assert network._karp_component(succ, shifted._d) == network._karp_walks(succ, shifted._d)
+            # labels: the cycle's vertices in increasing order; each vertex's one edge by place in them
+            labels = tuple(sorted(v - 1 for v in cycle))
+            edge = {t - 1: (h - 1, (w + shift) * shifted._d) for t, h, w in zip(cycle, cycle[1:] + cycle[:1], weights)}
+            expected.append((labels, tuple(((labels.index(edge[v][0]), edge[v][1]),) for v in labels)))
+        assert sorted(shifted._classes) == sorted(expected)
+        for _, cells in shifted._classes:
+            single += all(len(pairs) == 1 for pairs in cells)
+            assert network._karp_component(cells, shifted._d) == network._karp_walks(cells, shifted._d)
     assert single > 80
 
 
@@ -492,8 +468,10 @@ def test_network_from_a_parsed_text_matrix_reads_only_its_finite_cells():
     assert (net, hash(net), repr(net)) == (coerced, hash(coerced), repr(coerced))
     assert net._matrix is parsed and matrix_from_network(net) is parsed
     assert net._matrix == coerced._matrix and parsed._d == 12
-    # one class, the whole cycle, each vertex with its one successor
-    assert parsed._classes == [{t - 1: ((h - 1, w * 12),) for t, h, w in edges}]
+    # one class, the whole cycle, each vertex with its one successor: the matrix's own cells
+    successor = {t - 1: ((h - 1, w * 12),) for t, h, w in edges}
+    assert parsed._classes == [(tuple(range(n)), tuple(successor[v] for v in range(n)))]
+    assert parsed._classes[0][1] is parsed._cells
     [circuit] = enumerate_circuits(net)
     assert (circuit.length, circuit.weight) == (n, sum(weights))
     assert min_cycle_mean(net) == MinPlusValue(Fraction(sum(weights), n))
@@ -525,9 +503,10 @@ def test_every_constructor_holds_the_same_cells():
 
 
 def _residue(component):
-    """A component less its smallest vertex, with the edges into that vertex dropped."""
-    start = min(component)
-    return {v: tuple(p for p in pairs if p[0] != start) for v, pairs in component.items() if v != start}
+    """A component's cells less its vertex 0, its smallest, with the edges into
+    that vertex dropped and every other head one place lower."""
+    _, cells = component
+    return tuple(tuple((h - 1, w) for h, w in row if h) for row in cells[1:])
 
 
 def test_separated_check_and_min_cycle_mean_share_one_component_pass(monkeypatch, tmp_path, capsys, example7):

@@ -5,7 +5,9 @@ circuits: `enumerate_circuits` and the component-based `separated_check`
 are compared with it, and the circuit-family program of
 `charpoly_tropdet`, as it stands and as `coefficient_check` reports it,
 with the exhaustive family backtracking of `enumerate_extended_circuits`,
-on ε-heavy random digraphs with loops and on planted separated instances.
+on ε-heavy random digraphs with loops and on planted separated instances;
+and the strongly connected classes that Tarjan numbers (``MinPlusMatrix._classes``)
+with `networkx.strongly_connected_components`.
 """
 
 import random
@@ -90,3 +92,35 @@ def test_family_minima_match_backtracking():
             expected = MinPlusValue(min(f.weight for f in families)) if families else EPSILON
             assert coeffs[j] == expected
             assert detail["circuit_minimum"] == expected.to_json()
+
+
+def test_classes_match_networkx():
+    # Tarjan's classes (labels, cells) against networkx's strongly connected components:
+    # ε-heavy to dense digraphs with loops up to order 60, order 1 and all-ε included
+    rng = random.Random(20261021)
+    whole = 0
+    for k in range(160):
+        n = 1 if k % 10 == 0 else rng.randint(1, 60)
+        density = 0.0 if k % 10 == 1 else rng.choice((0.5, 2, 4, 0.3 * n)) / n
+        cells = tuple(
+            tuple((j, rng.randint(-9, 20)) for j in range(n) if rng.random() < density) for _ in range(n)
+        )
+        a = MinPlusMatrix._from_scaled(cells, 1)
+        graph = nx.DiGraph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from((i, j) for i, row in enumerate(cells) for j, _ in row)
+        components = nx.strongly_connected_components(graph)
+        expected = {frozenset(c) for c in components if len(c) > 1 or any(graph.has_edge(v, v) for v in c)}
+        assert {frozenset(labels) for labels, _ in a._classes} == expected
+        assert len(a._classes) == len(expected)
+        for labels, class_cells in a._classes:
+            assert list(labels) == sorted(labels) and len(set(labels)) == len(labels)
+            inside = set(labels)
+            assert len(class_cells) == len(labels)
+            for i, row in zip(labels, class_cells):
+                # mapped back through labels: exactly the row's finite cells inside the class, in column order
+                assert [(labels[h], w) for h, w in row] == [(j, w) for j, w in cells[i] if j in inside]
+            if len(labels) == n:
+                assert class_cells is cells
+                whole += 1
+    assert whole > 20
