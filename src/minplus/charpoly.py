@@ -45,8 +45,8 @@ style pass over a class's vertex subsets builds every family of disjoint
 circuits once, each circuit opened at its lowest vertex, in O(2^k·m) on a
 class of order k with m internal edges (``_circuit_families``), whatever
 the number of circuits. ``verify`` checks it against the literal
-definition, one shortest augmenting path per principal minor
-(``network._subset_scan``).
+definition, tropdet(C ⊕ x⊗I) expanded row by row on each class
+(``network._expansion``).
 
 Any optimal matching at X is a supporting line of the hull. Let k of
 its matched diagonal cells take X, let S be the other n-k indices and
@@ -60,8 +60,8 @@ The tropical determinant itself comes in two independent implementations,
 a permutation brute force and a minimum-cost assignment solver, so each
 can serve as the other's oracle. The brute force walks only finite cells,
 so its work grows with the partial permutations through them (n! only on
-dense input). The solver, the hull's probes and ``verify``'s principal-minor
-scan share one augmentation step, ``_augment``.
+dense input). The solver and the hull's probes share one augmentation
+step, ``_augment``.
 
 All inner loops run on Python ints, with None for ε: they read the
 matrix's finite cells (its entries times the least common multiple D of

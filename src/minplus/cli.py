@@ -83,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap-subsets", type=_positive_int, default=SUBSET_CAP,
                        help="cap on the order of each strongly connected class that takes a 2^k "
                             "pass over its subsets (the circuit-family program, and verify's "
-                            "principal-minor scan); a class that is one circuit takes none")
+                            "row-by-row expansion of the class's tropical determinant with x on "
+                            "its diagonal); a class that is one circuit takes none")
 
     hull, either = ("tropdet", "flv"), "polynomial or matrix file"
     p = command("charpoly", "characteristic polynomial(s) of a matrix", ("tropdet", "flv", "both"), "both")
@@ -224,13 +225,11 @@ def _dumps_indented(obj) -> str:
     generators. Here one walk lays out the brackets, keys and separators,
     and `json.dumps(leaves, separators=("\\n", ": "))` encodes every
     scalar at once: with `ensure_ascii` no encoded scalar holds a raw
-    newline, so splitting on "\\n" gives each one's text back."""
+    newline, so splitting on "\\n" gives each one's text back. Every key
+    is a str, as in every payload; any other key raises TypeError."""
     seps: list = []
     leaves: list = []
-    try:
-        tail = _lay_out(obj, "\n  ", "", seps, leaves)
-    except TypeError:  # a key that is not a str: json.dumps converts it or raises
-        return json.dumps(obj, indent=2)
+    tail = _lay_out(obj, "\n  ", "", seps, leaves)
     if not leaves:
         return tail
     texts = json.dumps(leaves, separators=("\n", ": "))[1:-1].split("\n")

@@ -6,8 +6,9 @@ enumerates elementary circuits and vertex-disjoint circuit families,
 computes the minimum circuit average weight (the eigenvalue oracle), and
 cross-verifies the characteristic-polynomial structure theorems against
 graph data. `verify_matrix` runs every check on one matrix from one
-computation of each polynomial, one component pass and one principal-minor
-scan per component, the oracle of the coefficients; it lists no circuits.
+computation of each polynomial, one component pass and one expansion of
+tropdet(C ⊕ x⊗I) per component C, the oracle of the coefficients; it
+lists no circuits.
 
 A network holds its matrix (``_matrix``), the one owner of the graph: the
 matrix's finite cells (per vertex, its (head, weight times D) pairs in
@@ -18,8 +19,8 @@ matrix). A network built from a matrix holds that matrix itself; one
 built from edges builds its matrix once. Every graph kernel here reads
 the classes' cells as Tarjan numbers them, each vertex by its place in
 the class's labels: Johnson's circuit search (which maps each circuit
-back through the labels), Karp's minimum cycle mean, the principal-minor
-oracle and the separation checks. The ``verify`` checks
+back through the labels), Karp's minimum cycle mean, the expansion that
+is the coefficients' oracle and the separation checks. The ``verify`` checks
 take the matrix and build no network, so the tropdet kernels and the
 graph kernels make one class pass per matrix between them.
 Fractions appear only in ``edges``, in each ``Circuit`` and in results.
@@ -35,7 +36,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .charpoly import (
-    _augment,
     _class_product,
     charpoly_flv,
     charpoly_tropdet,
@@ -43,7 +43,7 @@ from .charpoly import (
     tropdet_bruteforce,
 )
 from .errors import CapExceeded
-from .matrix import MinPlusMatrix, _dense, _single_circuit, _strongly_connected_components
+from .matrix import MinPlusMatrix, _single_circuit, _strongly_connected_components
 from .polynomial import Factorization, MinPlusPolynomial, canonicalize, factorize
 from .semiring import MinPlusValue, _check_int, _common_denominator, _is_int, _ratio, _rational, _scaled
 
@@ -414,51 +414,46 @@ def _minor_minima(a: MinPlusMatrix) -> dict[int, Fraction]:
     one: the literal definition of c_j, found without any circuit.
 
     The oracle of the coefficients check: each component that is not one
-    circuit takes the principal-minor scan of ``_subset_scan`` on its own
-    cells made dense, and the components' minima are merged as in
+    circuit takes the expansion of tropdet(C ⊕ x⊗I) on its own cells
+    (``_expansion``), and the components' minima are merged as in
     ``charpoly_tropdet`` (``_class_product``), whose program it checks."""
-    minima = _class_product(a._classes, lambda cells: _subset_scan(_dense(cells)))
+    minima = _class_product(a._classes, _expansion)
     return {j: Fraction(total, a._d) for j, total in minima.items() if j}
 
 
-def _subset_scan(ints) -> dict[int, int]:
-    """{j: c_j} over the finite c_j (c_0 = 0 among them) of the principal
-    minors of dense int rows, None for ε.
+def _expansion(cells) -> dict[int, int]:
+    """{j: c_j} over the finite c_j (c_0 = 0 among them) of the matrix C
+    whose finite cells these are, read off tropdet(C ⊕ x⊗I) expanded row
+    by row.
 
-    The subsets are visited depth-first in inclusion order, a child being
-    S ∪ {k} with k > max S, and each child's optimal assignment extends its
-    parent's by one shortest augmenting path (``_augment``, the step of
-    the assignment solver): the child copies the parent's matching and
-    duals, takes v_k = min_{i∈S} a_ik - u_i so that column k is dual
-    feasible, and augments from row k, whose first round sets
-    u_k = min_j a_kj - v_j. That is one O(j^2) augmentation per subset,
-    O(2^n·n^2) in all.
-
-    So that every parent has a perfect matching to extend, ε costs
-    2B+1 here, with B = Σ_i max_j |a_ij| over the finite cells (an all-ε
-    row adds 0): a permutation through finite cells costs at most B, and
-    one through an ε cell at least B+1, so a minor is finite iff its
-    optimal cost is at most B.
+    Row i takes one of its finite cells (j, w) in a column not yet taken,
+    or takes x at column i. The rows that take x are fixed points, so the
+    other rows permute their own index set S on finite cells of C: a
+    permutation with r rows on x is a term of the (k-r)-by-(k-r)
+    principal minor on S. Partial permutations of the same rows (rows are
+    taken in order) onto the same columns are merged, keeping the least
+    sum for each count of x rows, so every permutation through finite
+    cells is still counted. Once every row is done, the full column set
+    holds c_{k-r} for each count r. The rows done are as many as the
+    columns taken, so that is O(2^k·k·Δ) on k rows with at most Δ finite
+    cells each.
     """
-    n = len(ints)
-    bound = sum(max((abs(w) for w in row if w is not None), default=0) for row in ints)
-    rows = [[2 * bound + 1 if w is None else w for w in row] for row in ints]
-    coeffs = {0: 0}
-    zeros = [0] * (n + 1)
-    # (the subset S as 1-based columns in increasing order, its cost, u, v, match)
-    stack = [((), 0, zeros, zeros, zeros)]
-    while stack:
-        subset, cost, u, v, match = stack.pop()
-        j = len(subset)
-        if j and cost <= bound and (j not in coeffs or cost < coeffs[j]):
-            coeffs[j] = cost
-        for k in range(subset[-1] + 1 if subset else 1, n + 1):
-            child = subset + (k,)
-            cu, cv, cm = u[:], v[:], match[:]
-            cv[k] = min((rows[i - 1][k - 1] - cu[i] for i in subset), default=0)
-            _augment(rows, child, cu, cv, cm, k)  # ε is finite here, so it always augments
-            stack.append((child, sum(rows[cm[c] - 1][c - 1] for c in child), cu, cv, cm))
-    return coeffs
+    k = len(cells)
+    sums: dict[int, dict[int, int]] = {0: {0: 0}}  # taken columns (a mask) -> {x rows: least sum}
+    for i, out in enumerate(cells):
+        taken_next: dict[int, dict[int, int]] = {}
+        while sums:  # each entry freed as it is read
+            taken, by_x = sums.popitem()
+            moves = [(1 << j, w, 0) for j, w in out if not taken >> j & 1]
+            if not taken >> i & 1:
+                moves.append((1 << i, 0, 1))
+            for bit, w, x in moves:
+                target = taken_next.setdefault(taken | bit, {})
+                for r, total in by_x.items():
+                    if r + x not in target or total + w < target[r + x]:
+                        target[r + x] = total + w
+        sums = taken_next
+    return {k - r: total for r, total in sums[(1 << k) - 1].items()}
 
 
 def _coefficient_report(a: MinPlusMatrix, poly: MinPlusPolynomial) -> Report:
@@ -477,10 +472,10 @@ def coefficient_check(a: MinPlusMatrix) -> Report:
     minor of that order, with the minimum weight sum of vertex-disjoint
     circuit families of that total length. The families are the production
     polynomial, ``charpoly_tropdet``'s program over the vertex subsets of
-    each component; the minors come from the independent principal-minor
-    scan of each component (``_minor_minima``). ``charpoly_tropdet`` runs
-    first, so its cap stops both exponential stages, which take the same
-    components."""
+    each component; the minors come from the independent row-by-row
+    expansion of tropdet(C ⊕ x⊗I) on each component (``_minor_minima``).
+    ``charpoly_tropdet`` runs first, so its cap stops both exponential
+    stages, which take the same components."""
     return _coefficient_report(a, charpoly_tropdet(a))
 
 
@@ -566,10 +561,10 @@ def verify_matrix(a: MinPlusMatrix, cap_perms: int, cap_subsets: int) -> list[Re
     separation, coefficients, separated factorization and the corollary
     equivalence. No circuit is listed. The coefficients check compares
     `charpoly_tropdet`, whose circuit-family program reads the graph, with
-    the principal-minor scan of each component (``_minor_minima``).
+    the expansion of tropdet(C ⊕ x⊗I) on each component (``_minor_minima``).
     `charpoly_tropdet` runs first, so a component above `cap_subsets` that
     is not one circuit is refused before the permutation brute force or
-    the scan starts: the scan takes the same components."""
+    the expansion starts: the expansion takes the same components."""
     _check_int(cap_perms, "cap_perms")
     _check_int(cap_subsets, "cap_subsets")
     g = charpoly_tropdet(a, cap=cap_subsets)

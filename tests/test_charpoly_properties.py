@@ -3,7 +3,8 @@
 The kernels in ``minplus.charpoly`` run on LCM-scaled ints; these tests
 compare them with oracles written on the public min-plus value and matrix
 operations, compare the circuit-family program with ``verify``'s
-principal-minor scan and with one from-scratch solve per minor, compare
+row-by-row expansion of tropdet(C ⊕ x⊗I) and with one from-scratch solve
+per minor, check that expansion against every permutation of every minor, compare
 the parametric-assignment hull with the canonical form of
 ``charpoly_tropdet`` and with probing by from-scratch solves, and
 check metamorphic identities of both polynomials on ε-heavy matrices
@@ -40,7 +41,7 @@ from minplus import (
 )
 from minplus import charpoly as charpoly_module
 from minplus import network
-from minplus.matrix import _dense, _single_circuit
+from minplus.matrix import _single_circuit
 
 from conftest import dense_ints, random_matrix
 
@@ -48,7 +49,7 @@ from conftest import dense_ints, random_matrix
 ENTRIES = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 13))
 # Few distinct small values: many principal minors tie, so many points (j, c_j) are collinear.
 TIED_ENTRIES = st.builds(Fraction, st.integers(-2, 2))
-# Magnitudes far past any fixed stand-in for ε: the principal-minor scan's ε cost is derived from the entries.
+# Magnitudes far past any fixed stand-in for ε: no kernel may treat a large finite sum as ε.
 HUGE_ENTRIES = st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 13))
 
 
@@ -255,10 +256,26 @@ def test_subset_scan_matches_from_scratch_solves(a):
     )
 )
 def test_scan_oracle_matches_circuit_families_per_class(a):
-    # verify's oracle, one augmentation per principal minor, against the production program
+    # verify's oracle, tropdet(C ⊕ x⊗I) expanded row by row, against the production program
     # over the class's vertex subsets, on every class of the matrix
     for _, cells in a._classes:
-        assert network._subset_scan(_dense(cells)) == charpoly_module._circuit_families(cells)
+        assert network._expansion(cells) == charpoly_module._circuit_families(cells)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(
+        matrices(max_n=6),
+        matrices(max_n=6, entries=TIED_ENTRIES),
+        matrices(max_n=6, entries=HUGE_ENTRIES),
+        uncoverable_matrices(max_n=6),
+    )
+)
+def test_expansion_matches_every_permutation_of_every_minor(a):
+    # verify's oracle on the whole matrix's cells, against the definition itself
+    minima = network._expansion(a._cells)
+    coeffs = tuple(minima.get(j) for j in range(a.n + 1))
+    assert MinPlusPolynomial._from_scaled(coeffs, a._d).coeffs == tropdet_charpoly_by_definition(a)
 
 
 def one_circuit(start, length, weight):

@@ -2,7 +2,7 @@
 
 Every circuit lies inside one strongly connected class, so
 ``charpoly_tropdet`` (a circuit-family program), ``canonical_charpoly_tropdet``
-and the principal-minor oracle of ``verify`` run per class and merge the
+and the expansion oracle of ``verify`` run per class and merge the
 results. These tests keep the whole-matrix subset scan and the whole-graph
 family program as oracles, and compare on ε-heavy matrices, block
 upper-triangular matrices with shuffled labels, loops, single circuits and
@@ -163,7 +163,7 @@ def probed_orders(a):
 def test_per_class_scan_matches_whole_matrix_scan(a):
     whole = whole_matrix_scan(a)
     assert charpoly_tropdet(a, cap=12) == whole
-    # verify's oracle, the principal-minor scan of each class
+    # verify's oracle, the expansion of tropdet(C ⊕ x⊗I) on each class
     assert network._minor_minima(a) == {j: c.rational for j, c in enumerate(whole.coeffs) if j and not c.is_epsilon}
 
 

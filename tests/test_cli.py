@@ -606,12 +606,17 @@ def test_a_json_input_is_decoded_once(run, tmp_path, monkeypatch):
         # strings that need escapes, as values and as keys
         {"\n": "a\nb", '"': '"q"', "\\": "\\\\", "\x00": "\x00\x1f", "ε": ["ε", "x \u2297 y", "\ud800"]},
         [{"\n": "\t", "ε": "ε"}, {"\n": "", "ε": "\u2028"}],
-        # non-str keys, which json.dumps converts
-        {1: "a", "b": [1], None: {}, True: 2.5},
     ],
 )
 def test_json_writer_equals_json_dumps(obj):
     assert _dumps_indented(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [{1: "a", "b": [1], None: {}, True: 2.5}, [{"a": 1}, {True: 2.5}], [{2: 1}, {2: 2}]])
+def test_json_writer_takes_str_keys_only(obj):
+    # every payload's keys are str; the writer converts no other key, as json.dumps would
+    with pytest.raises(TypeError):
+        _dumps_indented(obj)
 
 
 def test_json_writer_meets_the_int_digit_limit_as_json_dumps_does():

@@ -374,9 +374,9 @@ def test_verify_matrix_subset_cap_stops_before_family_minima(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work done past the subset cap")
 
-    # the production circuit-family program, verify's principal-minor oracle and the brute force
+    # the production circuit-family program, verify's expansion oracle and the brute force
     monkeypatch.setattr(charpoly_module, "_circuit_families", refuse)
-    monkeypatch.setattr(network, "_subset_scan", refuse)
+    monkeypatch.setattr(network, "_expansion", refuse)
     monkeypatch.setattr(network, "tropdet_bruteforce", refuse)
     # the class of order 3 is under the cap, and is taken by neither program: the cap is checked first
     a = _class_with_free_vertices(12, small=3)
@@ -392,7 +392,7 @@ def test_verify_matrix_subset_cap_stops_before_family_minima(monkeypatch):
 
 def test_coefficients_check_has_an_independent_oracle(monkeypatch, tmp_path, capsys, example7):
     # the production circuit-family program, off by one at one j of the 7x7 example's one
-    # class: the principal-minor scan that verify checks it against does not follow it
+    # class: the expansion of tropdet(C ⊕ x⊗I) that verify checks it against does not follow it
     families = charpoly_module._circuit_families
 
     def off_by_one(succ):
@@ -411,6 +411,20 @@ def test_coefficients_check_has_an_independent_oracle(monkeypatch, tmp_path, cap
     assert main(["verify", "--format", "json", str(path)]) == 4
     coefficients = {r["check"]: r for r in json.loads(capsys.readouterr().out)["checks"]}["coefficients"]
     assert coefficients["pass"] is False
+
+
+def test_coefficients_oracle_takes_no_assignment_step(monkeypatch, example7):
+    # verify's oracle shares no step with the assignment solver: network does not import it,
+    # and the check still passes with the solver's augmentation refused
+    def refuse(*args, **kwargs):
+        raise AssertionError("assignment step taken")
+
+    assert not hasattr(network, "_augment")
+    monkeypatch.setattr(charpoly_module, "_augment", refuse)
+    sparse = _class_with_free_vertices(10)
+    assert max(len(labels) for labels, _ in sparse._classes) == 10
+    for a in (example7, sparse):
+        assert coefficient_check(a).passed
 
 
 def test_verify_lists_no_circuits(monkeypatch, example7):
@@ -728,7 +742,7 @@ def test_coefficient_check_acyclic():
 
 
 def test_coefficient_check_random():
-    # orders up to 12: the subset dynamic program against the subset scan,
+    # orders up to 12: the subset dynamic program against the row-by-row expansion,
     # beyond the reach of the family backtracking
     rng = random.Random(20240826)
     for _ in range(30):
